@@ -22,6 +22,8 @@ import json
 import logging
 import re
 import subprocess
+import tempfile
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -29,6 +31,7 @@ from typing import Callable, Iterable, Iterator
 from .errors import (
     BranchNotFoundError,
     BundleFormatError,
+    GitError,
     RepositoryNotFoundError,
 )
 
@@ -261,6 +264,24 @@ def export_bundle(commits: Iterable[CommitRecord], out_dir: str | Path) -> Path:
 
 _NULL_SHA = re.compile(r"^0+$")
 
+# One pass over the first-parent chain, oldest first. Each commit is a
+# ``\x01<sha> <committer epoch> <parents>`` header field, then ``:<modes> <shas>
+# <status>`` / ``<path>`` field pairs, all NUL-terminated (git-log(1), RAW
+# OUTPUT FORMAT). The options override the user settings that would change
+# this output: log.showRoot (the root's files), diff.renames, core.abbrev,
+# diff.relative, diff.orderFile, color and signatures.
+_LOG_ARGS = (
+    "-c", "log.showRoot=true", "log", "--first-parent", "--reverse", "--raw", "-z",
+    "--no-renames", "--no-abbrev", "--no-relative", "-O/dev/null", "--no-color",
+    "--no-show-signature", "--format=%x01%H %ct %P",
+)
+_READ_CHUNK = 1 << 16
+
+# (old_mode, new_mode, old_sha, new_sha, path) of one raw entry, and
+# (sha, committer epoch, parents, raw entries) of one commit.
+_RawEntry = tuple[str, str, str, str, str]
+_LogCommit = tuple[str, int, list[str], list[_RawEntry]]
+
 
 def _git(repo: Path, *args: str) -> bytes:
     proc = subprocess.run(
@@ -269,55 +290,137 @@ def _git(repo: Path, *args: str) -> bytes:
         stderr=subprocess.PIPE,
     )
     if proc.returncode != 0:
-        raise RuntimeError(
+        raise GitError(
             f"git {' '.join(args)} failed: {proc.stderr.decode('utf-8', 'replace').strip()}"
         )
     return proc.stdout
 
 
-class _BlobReader:
+class _GitChild:
+    """A long-lived git process read through its stdout. Its stderr goes to a
+    temporary file rather than a pipe, so output nobody reads cannot block it."""
+
+    def __init__(self, repo: Path, args: tuple[str, ...], stdin: int | None = None) -> None:
+        self.name = " ".join(args)
+        self._stderr = tempfile.TemporaryFile()
+        self.proc = subprocess.Popen(
+            ["git", "-C", str(repo), *args],
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=self._stderr,
+        )
+
+    def error(self, problem: str) -> GitError:
+        """A ``GitError`` naming the command, the problem and git's own message."""
+        self._stderr.seek(0)
+        detail = self._stderr.read().decode("utf-8", "replace").strip()
+        return GitError(f"git {self.name}: {problem}" + (f": {detail}" if detail else ""))
+
+    def fields(self) -> Iterator[bytes]:
+        """The NUL-terminated fields of stdout as they arrive; raises if git
+        fails or its output ends inside a field."""
+        assert self.proc.stdout is not None
+        tail = b""
+        while chunk := self.proc.stdout.read1(_READ_CHUNK):
+            *complete, tail = (tail + chunk).split(b"\0")
+            yield from complete
+        status = self.proc.wait()
+        if status != 0:
+            raise self.error(f"exited with status {status}")
+        if tail:
+            raise self.error(f"output ends inside a field: {tail[:80]!r}")
+
+    def close(self) -> None:
+        """Kill the process if it still runs, and reap it."""
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            if pipe is not None:
+                pipe.close()
+        if self.proc.poll() is None:
+            self.proc.kill()
+        self.proc.wait()
+        self._stderr.close()
+
+
+class _BlobReader(_GitChild):
     """Persistent ``git cat-file --batch`` process for fast blob retrieval."""
 
     def __init__(self, repo: Path) -> None:
-        self._proc = subprocess.Popen(
-            ["git", "-C", str(repo), "cat-file", "--batch"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-        )
+        super().__init__(repo, ("cat-file", "--batch"), stdin=subprocess.PIPE)
 
     def read(self, sha: str) -> bytes:
-        assert self._proc.stdin is not None and self._proc.stdout is not None
-        self._proc.stdin.write(sha.encode("ascii") + b"\n")
-        self._proc.stdin.flush()
-        header = self._proc.stdout.readline().split()
-        if len(header) != 3 or header[1] != b"blob":
-            raise RuntimeError(f"git cat-file: cannot read blob {sha}: {header!r}")
+        assert self.proc.stdin is not None and self.proc.stdout is not None
+        try:
+            self.proc.stdin.write(sha.encode("ascii") + b"\n")
+            self.proc.stdin.flush()
+        except BrokenPipeError:
+            raise self.error(f"exited before blob {sha} was read") from None
+        header = self.proc.stdout.readline().split()
+        if header == [sha.encode("ascii"), b"missing"]:
+            raise self.error(f"blob {sha} is missing from the repository")
+        if len(header) != 3 or header[1] != b"blob" or not header[2].isdigit():
+            raise self.error(f"cannot read blob {sha}: {header!r}")
         size = int(header[2])
-        data = self._proc.stdout.read(size)
-        self._proc.stdout.read(1)  # trailing newline
-        return data
-
-    def close(self) -> None:
-        if self._proc.stdin is not None:
-            self._proc.stdin.close()
-        self._proc.wait()
+        data = self.proc.stdout.read(size + 1)  # the content and its trailing newline
+        if len(data) != size + 1:
+            raise self.error(f"blob {sha} ends early")
+        return data[:-1]
 
 
-def _parse_diff_tree(raw: bytes) -> list[tuple[str, str, str, str, str, str]]:
-    """Parse ``git diff-tree -z`` output into
-    (old_mode, new_mode, old_sha, new_sha, status, path) tuples."""
-    fields = raw.split(b"\0")
-    entries = []
-    i = 0
-    while i < len(fields) and fields[i]:
-        meta = fields[i].decode("utf-8", "replace")
-        if not meta.startswith(":"):
-            raise RuntimeError(f"unexpected diff-tree record: {meta!r}")
-        old_mode, new_mode, old_sha, new_sha, status = meta[1:].split(" ")
-        path = fields[i + 1].decode("utf-8", "replace")
-        entries.append((old_mode, new_mode, old_sha, new_sha, status, path))
-        i += 2
-    return entries
+def _parse_log(fields: Iterator[bytes]) -> Iterator[_LogCommit]:
+    """Group the log stream's fields into commits. The path field after a raw
+    entry is taken by position, so a path may hold any byte but NUL."""
+    commit: _LogCommit | None = None
+    for f in fields:
+        if f.startswith(b"\x01"):
+            if commit is not None:
+                yield commit
+            header = f[1:].decode("ascii", "replace").split()
+            if len(header) < 2 or not header[1].isdigit():
+                raise GitError(f"git log: malformed commit header {f[:200]!r}")
+            commit = (header[0], int(header[1]), header[2:], [])
+            continue
+        # The first entry of a commit follows a newline after the header.
+        meta = f.lstrip(b"\n").decode("ascii", "replace")
+        path = next(fields, None)
+        parts = meta[1:].split(" ")
+        if commit is None or not meta.startswith(":") or len(parts) != 5 or path is None:
+            raise GitError(f"git log: malformed raw entry {f[:200]!r}")
+        old_mode, new_mode, old_sha, new_sha, _status = parts
+        commit[3].append((old_mode, new_mode, old_sha, new_sha, path.decode("utf-8", "replace")))
+    if commit is not None:
+        yield commit
+
+
+def _file_changes(
+    reader: _BlobReader, sha: str, entries: list[_RawEntry], warn: WarnFn
+) -> list[FileChange]:
+    """The text changes of one commit; submodules, mode-only changes, binary
+    files and changes that vanish after decoding are left out."""
+    changes: list[FileChange] = []
+    for old_mode, new_mode, old_sha, new_sha, fpath in entries:
+        if "160000" in (old_mode, new_mode):
+            continue  # submodule pointer, out of scope
+        before_sha = None if _NULL_SHA.match(old_sha) else old_sha
+        after_sha = None if _NULL_SHA.match(new_sha) else new_sha
+        if before_sha == after_sha:
+            continue  # mode-only change
+        binary = False
+        before = after = None
+        if before_sha is not None:
+            data = reader.read(before_sha)
+            binary = b"\0" in data
+            before = data.decode("utf-8", "replace")
+        if after_sha is not None and not binary:
+            data = reader.read(after_sha)
+            binary = b"\0" in data
+            after = data.decode("utf-8", "replace")
+        if binary:
+            warn(f"skipping binary file {fpath} in commit {sha}")
+            continue
+        if before == after:
+            continue  # no-op after decoding
+        changes.append(FileChange(path=fpath, before=before, after=after))
+    return changes
 
 
 def open_repository(
@@ -334,76 +437,40 @@ def open_repository(
     of its files as additions. Binary or undecodable files are skipped with a
     warning; text is decoded as UTF-8 with lossy replacement. ``since``/
     ``until`` bound the committer timestamp (inclusive).
+
+    The repository and branch are checked at once; a shallow clone is warned
+    about, because its boundary commits read as roots. The history itself
+    comes from one ``git log`` process, started on the first ``next()``,
+    and file contents from one ``git cat-file --batch``. Closing the stream
+    early stops both. Git failures raise ``GitError``.
     """
     warn = on_warning or log.warning
     repo = Path(path)
     try:
-        _git(repo, "rev-parse", "--git-dir")
-    except (RuntimeError, OSError) as exc:
+        shallow = _git(repo, "rev-parse", "--git-dir", "--is-shallow-repository")
+    except (GitError, OSError) as exc:
         raise RepositoryNotFoundError(f"not a git repository: {repo} ({exc})") from exc
     try:
         _git(repo, "rev-parse", "--verify", "--quiet", f"{branch}^{{commit}}")
-    except RuntimeError as exc:
+    except GitError as exc:
         raise BranchNotFoundError(f"branch not found in {repo}: {branch}") from exc
-
-    raw = _git(repo, "log", "--first-parent", "--reverse", "--format=%H %ct %P", branch)
-    chain: list[tuple[str, int, list[str]]] = []
-    for line in raw.decode("ascii").splitlines():
-        parts = line.split()
-        sha, ts, parents = parts[0], int(parts[1]), parts[2:]
-        chain.append((sha, ts, parents))
-
-    selected = []
-    for sha, ts, parents in chain:
-        if len(parents) >= 2:
-            continue  # merge commit
-        if since is not None and ts < since:
-            continue
-        if until is not None and ts > until:
-            continue
-        selected.append((sha, ts, parents[0] if parents else None))
+    if shallow.splitlines()[-1] == b"true":
+        warn(f"{repo} is a shallow clone: the history is cut at its shallow boundary, "
+             "and each boundary commit is read as a root, with all its files added")
 
     def _iter() -> Iterator[CommitRecord]:
-        reader = _BlobReader(repo)
-        try:
-            for order_index, (sha, ts, parent) in enumerate(selected):
-                if parent is None:
-                    args = ["diff-tree", "-r", "-z", "--no-renames", "--no-commit-id",
-                            "--root", sha]
-                else:
-                    args = ["diff-tree", "-r", "-z", "--no-renames", "--no-commit-id",
-                            parent, sha]
-                changes: list[FileChange] = []
-                for old_mode, new_mode, old_sha, new_sha, status, fpath in _parse_diff_tree(
-                    _git(repo, *args)
-                ):
-                    if "160000" in (old_mode, new_mode):
-                        continue  # submodule pointer, out of scope
-                    before_sha = None if _NULL_SHA.match(old_sha) else old_sha
-                    after_sha = None if _NULL_SHA.match(new_sha) else new_sha
-                    if before_sha == after_sha:
-                        continue  # mode-only change
-                    binary = False
-                    before = after = None
-                    if before_sha is not None:
-                        data = reader.read(before_sha)
-                        binary = b"\0" in data
-                        before = data.decode("utf-8", "replace")
-                    if after_sha is not None and not binary:
-                        data = reader.read(after_sha)
-                        binary = b"\0" in data
-                        after = data.decode("utf-8", "replace")
-                    if binary:
-                        warn(f"skipping binary file {fpath} in commit {sha}")
-                        continue
-                    if before == after:
-                        continue  # no-op after decoding
-                    changes.append(FileChange(path=fpath, before=before, after=after))
+        with closing(_GitChild(repo, (*_LOG_ARGS, branch, "--"))) as stream, \
+                closing(_BlobReader(repo)) as reader:
+            order_index = 0
+            for sha, ts, parents, entries in _parse_log(stream.fields()):
+                if len(parents) >= 2:
+                    continue  # merge commit, with its diff against the first parent
+                if (since is not None and ts < since) or (until is not None and ts > until):
+                    continue
                 yield CommitRecord(
                     commit_id=sha, order_index=order_index, timestamp=ts,
-                    file_changes=changes,
+                    file_changes=_file_changes(reader, sha, entries, warn),
                 )
-        finally:
-            reader.close()
+                order_index += 1
 
     return _iter()

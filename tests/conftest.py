@@ -85,6 +85,12 @@ class GitRepoBuilder:
         self._run("commit", "-q", "-m", message, env=self._date_env(None))
         return self._run("rev-parse", "HEAD").strip()
 
+    def commit_index(self, *update_index_args: str, message: str = "index") -> str:
+        """Run one ``git update-index`` and commit the index as it stands."""
+        self._run("update-index", *update_index_args)
+        self._run("commit", "-q", "--allow-empty", "-m", message, env=self._date_env(None))
+        return self._run("rev-parse", "HEAD").strip()
+
     def branch_from(self, name: str, start: str) -> None:
         self._run("checkout", "-q", "-b", name, start)
 
