@@ -157,17 +157,6 @@ def diff_fragments(
     return FileDelta(path=path, granularity=granularity, added=added, removed=removed)
 
 
-def apply_edit_script(before: Sequence, after: Sequence, ops: list[EditOp]) -> list:
-    """Replay a script against ``before``; must reconstruct ``after`` exactly."""
-    out = []
-    for kind, i, j in ops:
-        if kind == EQUAL:
-            out.append(before[i])
-        elif kind == INSERT:
-            out.append(after[j])
-    return out
-
-
 def lcs_length(a: Sequence, b: Sequence) -> int:
     """Exact longest-common-subsequence length by quadratic dynamic programming.
 

@@ -70,6 +70,30 @@ def _scan_quoted(source: str, start: int, quote: str) -> int:
     return n
 
 
+# One scan for everything comment stripping must see: a line comment up to
+# its line break, a block comment (an unterminated one runs to end of
+# input), and string or char literals, which honour backslash escapes and
+# stop before a line break when unterminated. Literals are matched only so
+# that comment markers inside them are left alone.
+_COMMENT_OR_LITERAL = re.compile(
+    r"""//[^\r\n]*
+      | (?P<block>/\*(?s:.*?)(?:\*/|\Z))
+      | "(?:[^"\\\r\n]|\\[^\r\n]?)*"?
+      | '(?:[^'\\\r\n]|\\[^\r\n]?)*'?""",
+    re.VERBOSE,
+)
+_NOT_LINE_BREAK = re.compile(r"[^\r\n]+")
+
+
+def _strip_match(m: re.Match) -> str:
+    text = m.group()
+    if text[0] != "/":
+        return text
+    if m.group("block") is None:
+        return ""
+    return " " + _NOT_LINE_BREAK.sub("", text)
+
+
 def strip_comments(source: str) -> str:
     """Remove ``//`` and ``/*...*/`` comments from Java-like text.
 
@@ -79,33 +103,9 @@ def strip_comments(source: str) -> str:
     together; line breaks inside it are kept so line counts survive. An
     unterminated block comment runs to end of input.
     """
-    out: list[str] = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c == "/" and i + 1 < n:
-            nxt = source[i + 1]
-            if nxt == "/":
-                m = _LINE_BREAK.search(source, i)
-                i = m.start() if m else n
-                continue
-            if nxt == "*":
-                stop = source.find("*/", i + 2)
-                end = n if stop < 0 else stop + 2
-                out.append(" ")
-                for ch in source[i:end]:
-                    if ch == "\n" or ch == "\r":
-                        out.append(ch)
-                i = end
-                continue
-        if c == '"' or c == "'":
-            end = _scan_quoted(source, i, c)
-            out.append(source[i:end])
-            i = end
-            continue
-        out.append(c)
-        i += 1
-    return "".join(out)
+    if "//" not in source and "/*" not in source:
+        return source
+    return _COMMENT_OR_LITERAL.sub(_strip_match, source)
 
 
 def split_raw_lines(source: str) -> list[str]:

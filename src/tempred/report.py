@@ -40,6 +40,7 @@ from .history import (
 )
 from .redundancy import (
     ALL_SCOPES,
+    NOVEL_FRAGMENT_CAP,
     CommitClassification,
     ProjectSummary,
     Scope,
@@ -110,41 +111,19 @@ class AnalysisConfig:
         }
 
 
-class _FragmentCache:
-    """Bounded memo of text -> fragment tuple.
+# Bound on the text -> fragments cache. Consecutive commits mostly re-see
+# the previous commit's file contents, so a small LRU avoids re-fragmenting
+# nearly everything.
+FRAGMENT_CACHE_ENTRIES = 1024
 
-    Consecutive commits mostly re-see the previous commit's file contents, so
-    a small LRU avoids re-lexing nearly everything. Fallback-token counts are
-    accumulated per distinct content at compute time.
-    """
+# Bound on the normalized line -> tokens memo, which is cleared when full.
+# A 3000-commit, 40-file synthetic history has under 5k distinct lines; at a
+# few hundred bytes an entry, a full memo stays within tens of MB.
+LINE_MEMO_ENTRIES = 1 << 16
 
-    def __init__(self, granularity: Granularity, normalize: str, stats: LexStats,
-                 max_entries: int = 1024) -> None:
-        self._granularity = granularity
-        self._normalize = normalize
-        self._stats = stats
-        self._max = max_entries
-        self._entries: OrderedDict[str, tuple[str, ...]] = OrderedDict()
-
-    def _compute(self, text: str) -> tuple[str, ...]:
-        if self._granularity is Granularity.LINE:
-            if self._normalize == PRE:
-                return tuple(fragment_lines(text))
-            return tuple(split_raw_lines(text))
-        return tuple(lex(text, include_comments=self._normalize == POST, stats=self._stats))
-
-    def fragments(self, text: str | None) -> tuple[str, ...]:
-        if text is None:
-            return ()
-        cached = self._entries.get(text)
-        if cached is not None:
-            self._entries.move_to_end(text)
-            return cached
-        value = self._compute(text)
-        self._entries[text] = value
-        if len(self._entries) > self._max:
-            self._entries.popitem(last=False)
-        return value
+# A file version's line fragments and token fragments, each empty when that
+# granularity is not analyzed.
+_Fragments = tuple[tuple[str, ...], tuple[str, ...]]
 
 
 def _post_filter_line(fragment: str) -> bool:
@@ -164,20 +143,75 @@ def post_filter_delta(delta: FileDelta) -> None:
 
 @dataclass
 class _PipelineState:
-    caches: dict[Granularity, _FragmentCache]
+    """What one run carries from commit to commit.
+
+    ``texts`` is a bounded LRU of file text -> (lines, tokens). In
+    ``pre`` mode, tokens never cross a normalized line: lexing a file gives
+    the same tokens, and the same fallback count, as lexing each of its
+    ``fragment_lines`` in turn. So a text's tokens are assembled from
+    ``line_tokens``, a memo of line -> (tokens, fallback count) shared across
+    files and commits, since most lines survive from one version to the
+    next. ``post`` mode keeps comment tokens, which can span lines, so it
+    lexes whole files. Fallback counts reach ``lex_stats`` once per text
+    cache miss.
+    """
+
+    granularities: tuple[Granularity, ...]
+    normalize: str
     rules: FileFilterRules
-    lex_stats: LexStats
+    lex_stats: LexStats = field(default_factory=LexStats)
+    texts: OrderedDict[str, _Fragments] = field(default_factory=OrderedDict)
+    line_tokens: dict[str, tuple[tuple[str, ...], int]] = field(default_factory=dict)
     skipped_oversize: list[dict] = field(default_factory=list)
+
+    def fragments(self, text: str | None) -> _Fragments:
+        if text is None:
+            return (), ()
+        cached = self.texts.get(text)
+        if cached is not None:
+            self.texts.move_to_end(text)
+            return cached
+        value = self._fragment(text)
+        self.texts[text] = value
+        if len(self.texts) > FRAGMENT_CACHE_ENTRIES:
+            self.texts.popitem(last=False)
+        return value
+
+    def _fragment(self, text: str) -> _Fragments:
+        want_lines = Granularity.LINE in self.granularities
+        want_tokens = Granularity.TOKEN in self.granularities
+        if self.normalize == POST:
+            lines = tuple(split_raw_lines(text)) if want_lines else ()
+            tokens = (tuple(lex(text, include_comments=True, stats=self.lex_stats))
+                      if want_tokens else ())
+            return lines, tokens
+        normalized = fragment_lines(text)
+        tokens = self._line_derived_tokens(normalized) if want_tokens else ()
+        return (tuple(normalized) if want_lines else ()), tokens
+
+    def _line_derived_tokens(self, lines: list[str]) -> tuple[str, ...]:
+        memo = self.line_tokens
+        tokens: list[str] = []
+        fallback = 0
+        for line in lines:
+            entry = memo.get(line)
+            if entry is None:
+                stats = LexStats()
+                entry = (tuple(lex(line, stats=stats)), stats.fallback_tokens)
+                if len(memo) >= LINE_MEMO_ENTRIES:
+                    memo.clear()
+                memo[line] = entry
+            tokens += entry[0]
+            fallback += entry[1]
+        self.lex_stats.fallback_tokens += fallback
+        return tuple(tokens)
 
 
 def _make_state(config: AnalysisConfig) -> _PipelineState:
-    stats = LexStats()
     return _PipelineState(
-        caches={
-            g: _FragmentCache(g, config.normalize, stats) for g in config.granularities
-        },
+        granularities=config.granularities,
+        normalize=config.normalize,
         rules=FileFilterRules(config.include_globs, config.exclude_globs),
-        lex_stats=stats,
     )
 
 
@@ -185,11 +219,12 @@ def _commit_changes(commit: CommitRecord, config: AnalysisConfig,
                     state: _PipelineState) -> ChangeSet:
     changes = ChangeSet(commit=commit)
     retained = filter_files(commit.file_changes, state.rules)
+    # One cache lookup per file side, whatever the granularities analyzed.
+    sides = [(state.fragments(fc.before), state.fragments(fc.after)) for fc in retained]
     for granularity in config.granularities:
-        cache = state.caches[granularity]
-        for fc in retained:
-            before = cache.fragments(fc.before)
-            after = cache.fragments(fc.after)
+        slot = 0 if granularity is Granularity.LINE else 1
+        for fc, (before_side, after_side) in zip(retained, sides):
+            before, after = before_side[slot], after_side[slot]
             if len(before) + len(after) > config.diff_size_cap:
                 state.skipped_oversize.append(
                     {
@@ -267,6 +302,20 @@ def open_source(config: AnalysisConfig, on_warning=None) -> Iterator[CommitRecor
     )
 
 
+def _violation_delta(delta: FileDelta) -> dict:
+    """A delta as dumped into ``subsumption_violations``: at most
+    ``NOVEL_FRAGMENT_CAP`` added and removed fragments, plus the full counts,
+    so one large file cannot blow up the diagnostics."""
+    return {
+        "path": delta.path,
+        "granularity": delta.granularity.value,
+        "added": delta.added[:NOVEL_FRAGMENT_CAP],
+        "added_count": len(delta.added),
+        "removed": delta.removed[:NOVEL_FRAGMENT_CAP],
+        "removed_count": len(delta.removed),
+    }
+
+
 def analyze_commits(commits: Iterable[CommitRecord], config: AnalysisConfig,
                     warnings: list[str] | None = None) -> Report:
     """Run classification over an already-open commit stream."""
@@ -302,15 +351,7 @@ def analyze_commits(commits: Iterable[CommitRecord], config: AnalysisConfig,
                             "commit_id": commit.commit_id,
                             "order_index": commit.order_index,
                             "scope": scope.value,
-                            "deltas": [
-                                {
-                                    "path": d.path,
-                                    "granularity": d.granularity.value,
-                                    "added": list(d.added),
-                                    "removed": list(d.removed),
-                                }
-                                for d in changes.deltas
-                            ],
+                            "deltas": [_violation_delta(d) for d in changes.deltas],
                         }
                     )
             if line_cls.acceptable != token_cls.acceptable:

@@ -8,14 +8,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempred.differ import (
+    EQUAL,
+    INSERT,
     ChangeSet,
-    apply_edit_script,
+    EditOp,
     diff_fragments,
     edit_script,
     lcs_length,
 )
 from tempred.fragmenter import Granularity
 from tempred.history import CommitRecord
+
+
+def apply_edit_script(before: list, after: list, ops: list[EditOp]) -> list:
+    """Replay a script against ``before``; must reconstruct ``after`` exactly."""
+    out = []
+    for kind, i, j in ops:
+        if kind == EQUAL:
+            out.append(before[i])
+        elif kind == INSERT:
+            out.append(after[j])
+    return out
 
 
 def test_identical_sequences_produce_empty_delta():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,8 @@ from tempred.fragmenter import (
     lex,
     strip_comments,
 )
+from tempred.history import load_history_bundle
+from tempred.synth import HistorySpec, generate_history
 
 # ---------------------------------------------------------------------------
 # Independent reference: explicit character-by-character state machine,
@@ -76,9 +79,29 @@ def reference_strip_comments(src: str) -> str:
 
 
 java_soup = st.lists(
-    st.sampled_from(list("ab1 \t\n\r") + ["/*", "*/", "//", '"', "'", "\\", ";", "="]),
+    st.sampled_from(
+        list("ab1 \t\n\r/*") + ["/*", "*/", "//", '"', "'", "\\", ";", "="]
+    ),
     max_size=60,
 ).map("".join)
+
+
+@pytest.fixture(scope="module")
+def synth_versions(tmp_path_factory) -> list[str]:
+    """Every distinct file version of one synthetic history."""
+    bundle = generate_history(
+        HistorySpec(seed=7, commit_count=300, file_count=8, fragment_alphabet_size=400,
+                    reuse_probability=0.5, locality_bias=0.5, token_recombination=0.3),
+        tmp_path_factory.mktemp("synth") / "bundle",
+    )
+    texts = [
+        text
+        for commit in load_history_bundle(bundle)
+        for fc in commit.file_changes
+        for text in (fc.before, fc.after)
+        if text is not None
+    ]
+    return list(dict.fromkeys(texts))
 
 
 def test_strip_trailing_line_comment():
@@ -107,10 +130,16 @@ def test_strip_char_literal_protected():
     assert strip_comments(src) == "char c = '/'; int y = 2; "
 
 
-@settings(max_examples=400)
+@settings(max_examples=5000)
 @given(java_soup)
 def test_strip_comments_matches_reference_state_machine(src: str):
     assert strip_comments(src) == reference_strip_comments(src)
+
+
+def test_strip_comments_matches_reference_on_synth_versions(synth_versions):
+    assert len(synth_versions) > 100
+    for text in synth_versions + [JAVA_SAMPLE]:
+        assert strip_comments(text) == reference_strip_comments(text)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +287,45 @@ def test_line_fragment_tokens_are_contiguous_in_file_tokens(src: str):
     file_tokens = fragment_tokens(src)
     for line in fragment_lines(src):
         assert _is_subsequence_contiguous(fragment_tokens(line), file_tokens)
+
+
+# ---------------------------------------------------------------------------
+# Tokens derived from lines: the pipeline's ``pre`` mode lexes each normalized
+# line once and concatenates, so this identity, fallback count included, is
+# what keeps its token fragments equal to whole-file lexing.
+# ---------------------------------------------------------------------------
+
+
+def _lex_by_lines(src: str) -> tuple[list[str], int]:
+    stats = LexStats()
+    tokens = [t for line in fragment_lines(src) for t in lex(line, stats=stats)]
+    return tokens, stats.fallback_tokens
+
+
+def _lex_whole(src: str) -> tuple[list[str], int]:
+    stats = LexStats()
+    return lex(src, stats=stats), stats.fallback_tokens
+
+
+derivation_source = st.lists(
+    st.sampled_from(
+        list("ab_$09 \t\n\r\x0b\xa0\u2028;=+-<>.#`@éß€中")
+        + ["\r\n", '"', "'", "\\", "/", "*", "/*", "*/", "//", "/*x\ny*/",
+           "0x1F", "1.5e-3f", ".5", ">>>=", "->", '"a\\"b"', "'\\''", '"open ', "'open\t"]
+    ),
+    max_size=60,
+).map("".join)
+
+
+@settings(max_examples=2000)
+@given(derivation_source)
+def test_tokens_derive_from_normalized_lines(src: str):
+    assert _lex_by_lines(src) == _lex_whole(src)
+
+
+def test_tokens_derive_from_lines_on_synth_versions(synth_versions):
+    for text in synth_versions + [JAVA_SAMPLE, "price = €50; # tag `x`\n/* é\n */ y = 'q"]:
+        assert _lex_by_lines(text) == _lex_whole(text)
 
 
 def test_determinism():

@@ -9,10 +9,11 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from tempred import report as report_module
 from tempred.cli import main
 from tempred.errors import ConfigurationError
-from tempred.fragmenter import Granularity
-from tempred.redundancy import Scope
+from tempred.fragmenter import Granularity, LexStats, fragment_tokens, lex
+from tempred.redundancy import NOVEL_FRAGMENT_CAP, Scope
 from tempred.report import (
     AnalysisConfig,
     emit_report,
@@ -229,6 +230,69 @@ def test_oversize_files_are_skipped_with_diagnostics(bundle_writer):
     )
     assert report.diagnostics["skipped_oversize_files"]
     assert not report.classifications[Granularity.LINE][0].acceptable
+
+
+def test_line_token_memo_cap_changes_no_output(bundle_writer, monkeypatch):
+    versions = [
+        "int a = 1; // €\nString s = \"#x\";\n",
+        "int a = 1; // €\nprice = €50; # tag\nString s = \"#x\";\n",
+        "/* é\n */ price = €50; # tag\nchar c = '`';\nint a = 1;\n",
+        "price = €50; # tag\nint a = 1;\nString t = \"open\nß = 2;\n",
+    ]
+    commits = [
+        {"id": f"c{i}", "timestamp": i + 1, "files": [
+            {"path": "A.java", "before": versions[i - 1] if i else None, "after": text},
+            {"path": "B.java", "before": versions[i - 2] if i > 1 else None,
+             "after": versions[i - 1] if i else text},
+        ]}
+        for i, text in enumerate(versions)
+    ]
+    bundle = bundle_writer(commits)
+    config = AnalysisConfig(source=str(bundle), bundle=True, trace_commits=True)
+    expected = emit_report(run_analysis(config), "json")
+    # Counted once per distinct file version, as whole-file lexing counts them.
+    whole_file = LexStats()
+    for text in versions:
+        lex(text, stats=whole_file)
+    assert whole_file.fallback_tokens > 0
+    assert json.loads(expected)["diagnostics"]["fallback_tokens"] == whole_file.fallback_tokens
+
+    monkeypatch.setattr(report_module, "LINE_MEMO_ENTRIES", 2)
+    assert emit_report(run_analysis(config), "json") == expected
+    state = report_module._make_state(config)
+    for text in versions:
+        state.fragments(text)
+        assert len(state.line_tokens) <= 2
+
+
+def test_subsumption_violation_deltas_are_capped(bundle_writer, schema):
+    # A's token side is over the size cap, so its tokens never reach the pool;
+    # B then re-adds two of A's lines: line-redundant, not token-redundant.
+    lines = [f"int a{i} = b + c + d + e;" for i in range(3)]
+    bundle = bundle_writer([
+        {"id": "c0", "timestamp": 1,
+         "files": [{"path": "A.java", "before": None, "after": "\n".join(lines) + "\n"}]},
+        {"id": "c1", "timestamp": 2,
+         "files": [{"path": "B.java", "before": None, "after": "\n".join(lines[:2]) + "\n"}]},
+    ])
+    report = run_analysis(AnalysisConfig(source=str(bundle), bundle=True, diff_size_cap=30))
+    payload = report_to_dict(report)
+    jsonschema.validate(payload, schema)
+    violations = payload["diagnostics"]["subsumption_violations"]
+    assert [(v["commit_id"], v["scope"]) for v in violations] == [("c1", "global")]
+    deltas = {d["granularity"]: d for d in violations[0]["deltas"]}
+    assert deltas["line"] == {
+        "path": "B.java", "granularity": "line", "added": lines[:2], "added_count": 2,
+        "removed": [], "removed_count": 0,
+    }
+    tokens = fragment_tokens("\n".join(lines[:2]))
+    assert len(tokens) > NOVEL_FRAGMENT_CAP
+    assert deltas["token"]["added"] == tokens[:NOVEL_FRAGMENT_CAP]
+    assert deltas["token"]["added_count"] == len(tokens)
+    item = schema["properties"]["diagnostics"]["properties"]["subsumption_violations"]["items"]
+    delta_schema = item["properties"]["deltas"]["items"]["properties"]
+    assert delta_schema["added"]["maxItems"] == NOVEL_FRAGMENT_CAP
+    assert delta_schema["removed"]["maxItems"] == NOVEL_FRAGMENT_CAP
 
 
 # ---------------------------------------------------------------------------
