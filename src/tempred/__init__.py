@@ -1,80 +1,20 @@
-"""tempred: temporal redundancy metrics for source-code commit histories."""
+"""tempred: temporal redundancy metrics for source-code commit histories.
 
-from .differ import ChangeSet, FileDelta, diff_fragments, edit_script, lcs_length
-from .errors import (
-    BranchNotFoundError,
-    BundleFormatError,
-    ConfigurationError,
-    PipelineOrderError,
-    RepositoryNotFoundError,
-)
-from .fragmenter import (
-    Granularity,
-    fragment_lines,
-    fragment_tokens,
-    strip_comments,
-)
-from .history import (
-    CommitRecord,
-    FileChange,
-    FileFilterRules,
-    export_bundle,
-    filter_files,
-    load_history_bundle,
-    open_repository,
-)
-from .redundancy import (
-    CommitClassification,
-    FragmentPool,
-    ProjectSummary,
-    Scope,
-    ScopedPools,
-    ScopeMetrics,
-    classify_commit,
-    index_commit,
-    summarize,
-)
+The package exports the library surface: configure a run, analyze a source
+and serialize the report. Everything else is importable from its module
+(``tempred.history``, ``tempred.differ``, ``tempred.synth``, ...).
+"""
+
+from .errors import ConfigurationError
 from .report import AnalysisConfig, Report, emit_report, run_analysis
-from .synth import HistorySpec, generate_history, oracle_classify
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "__version__",
     "AnalysisConfig",
-    "BranchNotFoundError",
-    "BundleFormatError",
-    "ChangeSet",
-    "CommitClassification",
-    "CommitRecord",
     "ConfigurationError",
-    "FileChange",
-    "FileDelta",
-    "FileFilterRules",
-    "FragmentPool",
-    "Granularity",
-    "HistorySpec",
-    "PipelineOrderError",
-    "ProjectSummary",
     "Report",
-    "RepositoryNotFoundError",
-    "Scope",
-    "ScopeMetrics",
-    "ScopedPools",
-    "classify_commit",
-    "diff_fragments",
-    "edit_script",
     "emit_report",
-    "export_bundle",
-    "filter_files",
-    "fragment_lines",
-    "fragment_tokens",
-    "generate_history",
-    "index_commit",
-    "lcs_length",
-    "load_history_bundle",
-    "open_repository",
-    "oracle_classify",
     "run_analysis",
-    "strip_comments",
-    "summarize",
 ]

@@ -190,11 +190,6 @@ def lex(source: str, include_comments: bool = False, stats: LexStats | None = No
     return tokens
 
 
-def fragment_tokens(source: str) -> list[str]:
-    """Token fragments of a whole file, comments and whitespace excluded."""
-    return lex(source)
-
-
 def is_comment_token(token: str) -> bool:
     """True for elements produced by ``lex(..., include_comments=True)`` only."""
     return token.startswith("//") or token.startswith("/*")

@@ -64,15 +64,6 @@ class ScopedPools:
     def create(cls, granularity: Granularity) -> "ScopedPools":
         return cls(granularity=granularity, global_pool=FragmentPool(granularity))
 
-    def check_invariants(self) -> None:
-        """Local pools must be subsets of the global pool (used by tests)."""
-        for path, pool in self.local_pools.items():
-            for fragment in pool.first_seen:
-                if fragment not in self.global_pool:
-                    raise AssertionError(
-                        f"local pool for {path} holds {fragment!r} missing from global pool"
-                    )
-
 
 @dataclass
 class CommitClassification:

@@ -221,9 +221,17 @@ def _commit_changes(commit: CommitRecord, config: AnalysisConfig,
     retained = filter_files(commit.file_changes, state.rules)
     # One cache lookup per file side, whatever the granularities analyzed.
     sides = [(state.fragments(fc.before), state.fragments(fc.after)) for fc in retained]
+    # A file over the cap at any granularity is skipped at every one, so the
+    # line and token pools index the same files. (A granularity not analyzed
+    # has empty sides.)
+    oversize = [
+        max(len(before[0]) + len(after[0]), len(before[1]) + len(after[1]))
+        > config.diff_size_cap
+        for before, after in sides
+    ]
     for granularity in config.granularities:
         slot = 0 if granularity is Granularity.LINE else 1
-        for fc, (before_side, after_side) in zip(retained, sides):
+        for fc, (before_side, after_side), skip in zip(retained, sides, oversize):
             before, after = before_side[slot], after_side[slot]
             if len(before) + len(after) > config.diff_size_cap:
                 state.skipped_oversize.append(
@@ -234,6 +242,7 @@ def _commit_changes(commit: CommitRecord, config: AnalysisConfig,
                         "fragments": len(before) + len(after),
                     }
                 )
+            if skip:
                 continue
             delta = diff_fragments(before, after, path=fc.path, granularity=granularity)
             if config.normalize == POST:

@@ -343,12 +343,20 @@ def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None
     for commit in stream:
         entry = _OracleCommit(commit_id=commit.commit_id, order_index=commit.order_index)
         retained = filter_files(commit.file_changes, rules)
+        sides = {
+            g: [(_oracle_fragments(fc.before, g, config.normalize),
+                 _oracle_fragments(fc.after, g, config.normalize)) for fc in retained]
+            for g in config.granularities
+        }
+        # Over the cap at any granularity means skipped at all of them.
+        oversize = [
+            any(len(before) + len(after) > config.diff_size_cap for before, after in per_g)
+            for per_g in zip(*sides.values())
+        ]
         for granularity in config.granularities:
             per_file: list[tuple[str, list[str]]] = []
-            for fc in retained:
-                before = _oracle_fragments(fc.before, granularity, config.normalize)
-                after = _oracle_fragments(fc.after, granularity, config.normalize)
-                if len(before) + len(after) > config.diff_size_cap:
+            for fc, (before, after), skip in zip(retained, sides[granularity], oversize):
+                if skip:
                     continue
                 delta = diff_fragments(before, after, path=fc.path, granularity=granularity)
                 if config.normalize == POST:

@@ -1,4 +1,5 @@
-"""Shared fixtures: git repository builder, bundle writer, acceptance summary."""
+"""Shared fixtures: git repository builder, bundle writer, acceptance summary,
+pool invariant check."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from tempred.redundancy import ScopedPools
+
 # Populated by tests/test_acceptance.py; printed once at the end of the run so
 # each criterion gets its own visible pass/fail line.
 ACCEPTANCE_RESULTS: list[tuple[str, str, str]] = []
@@ -15,6 +18,16 @@ ACCEPTANCE_RESULTS: list[tuple[str, str, str]] = []
 
 def record_criterion(number: str, title: str, status: str) -> None:
     ACCEPTANCE_RESULTS.append((number, title, status))
+
+
+def check_pool_invariants(pools: ScopedPools) -> None:
+    """Every local pool of a ``ScopedPools`` must be a subset of its global pool."""
+    for path, pool in pools.local_pools.items():
+        for fragment in pool.first_seen:
+            if fragment not in pools.global_pool:
+                raise AssertionError(
+                    f"local pool for {path} holds {fragment!r} missing from global pool"
+                )
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -12,13 +12,13 @@ from pathlib import Path
 import pytest
 
 from tempred.differ import diff_fragments, lcs_length
-from tempred.fragmenter import Granularity, fragment_tokens
+from tempred.fragmenter import Granularity, lex
 from tempred.history import load_history_bundle
 from tempred.redundancy import Scope, ScopedPools, index_commit
 from tempred.report import AnalysisConfig, Report, emit_report, iter_changesets, run_analysis
 from tempred.synth import HistorySpec, generate_history, oracle_classify
 
-from conftest import GitRepoBuilder, record_criterion, write_bundle
+from conftest import GitRepoBuilder, check_pool_invariants, record_criterion, write_bundle
 
 LINE, TOKEN = Granularity.LINE, Granularity.TOKEN
 GLOBAL, LOCAL = Scope.GLOBAL, Scope.LOCAL
@@ -188,7 +188,7 @@ def test_scope_ordering_and_pool_subset(corpus):
         for changes in iter_changesets(load_history_bundle(bundle), config):
             for granularity in config.granularities:
                 index_commit(pools[granularity], changes, granularity)
-                pools[granularity].check_invariants()
+                check_pool_invariants(pools[granularity])
     print(f"criterion 4: implication checked on {implication_checked} classifications")
 
 
@@ -311,7 +311,7 @@ GOLDEN_SNIPPETS: list[tuple[str, list[str]]] = [
 def test_lexer_golden_corpus():
     assert len(GOLDEN_SNIPPETS) == 30
     for source, expected in GOLDEN_SNIPPETS:
-        assert fragment_tokens(source) == expected, f"lexing {source!r}"
+        assert lex(source) == expected, f"lexing {source!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,119 @@
-"""Diff tests: minimality against the DP oracle, patch validity, determinism."""
+"""Diff tests: minimality against the DP oracle, patch validity, determinism,
+and identity with the reference edit script."""
 
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempred.differ import (
-    EQUAL,
-    INSERT,
-    ChangeSet,
-    EditOp,
-    diff_fragments,
-    edit_script,
-    lcs_length,
-)
-from tempred.fragmenter import Granularity
-from tempred.history import CommitRecord
+from tempred.differ import ChangeSet, diff_fragments, lcs_length
+from tempred.fragmenter import Granularity, fragment_lines, lex
+from tempred.history import CommitRecord, load_history_bundle
+from tempred.synth import HistorySpec, generate_history
+
+# ---------------------------------------------------------------------------
+# Reference: the full canonical Myers edit script, with an EQUAL op for every
+# unchanged fragment and indices shifted past the trimmed prefix.
+# ``diff_fragments`` must return exactly its inserted and deleted fragments,
+# in order.
+# ---------------------------------------------------------------------------
+
+# Edit ops are (kind, before_index, after_index). "equal" copies
+# before[before_index] (== after[after_index]); "delete" consumes
+# before[before_index]; "insert" emits after[after_index].
+EditOp = tuple[str, int, int]
+
+EQUAL = "equal"
+DELETE = "delete"
+INSERT = "insert"
+
+
+def _myers_middle(a: Sequence, b: Sequence) -> list[EditOp]:
+    """Canonical Myers script for sequences with no common prefix/suffix trimmed off.
+
+    Index fields are relative to the inputs given here; callers shift them.
+    """
+    n, m = len(a), len(b)
+    if n == 0:
+        return [(INSERT, 0, j) for j in range(m)]
+    if m == 0:
+        return [(DELETE, i, 0) for i in range(n)]
+
+    max_d = n + m
+    offset = max_d + 1
+    v = [0] * (2 * max_d + 4)
+    trace: list[list[int]] = []
+    found_d = -1
+    for d in range(max_d + 1):
+        trace.append(v[offset - d - 1 : offset + d + 2])
+        for k in range(-d, d + 1, 2):
+            ki = offset + k
+            if k == -d or (k != d and v[ki - 1] < v[ki + 1]):
+                x = v[ki + 1]  # step down: insertion
+            else:
+                x = v[ki - 1] + 1  # step right: deletion (preferred on ties)
+            y = x - k
+            while x < n and y < m and a[x] == b[y]:
+                x += 1
+                y += 1
+            v[ki] = x
+            if x >= n and y >= m:
+                found_d = d
+                break
+        if found_d >= 0:
+            break
+
+    ops: list[EditOp] = []
+    x, y = n, m
+    for d in range(found_d, 0, -1):
+        win = trace[d]
+        base = d + 1  # window index of k == 0
+        k = x - y
+        if k == -d or (k != d and win[base + k - 1] < win[base + k + 1]):
+            prev_k = k + 1
+        else:
+            prev_k = k - 1
+        prev_x = win[base + prev_k]
+        prev_y = prev_x - prev_k
+        while x > prev_x and y > prev_y:
+            x -= 1
+            y -= 1
+            ops.append((EQUAL, x, y))
+        if x == prev_x:
+            ops.append((INSERT, x, prev_y))
+        else:
+            ops.append((DELETE, prev_x, y))
+        x, y = prev_x, prev_y
+    while x > 0 and y > 0:
+        x -= 1
+        y -= 1
+        ops.append((EQUAL, x, y))
+    ops.reverse()
+    return ops
+
+
+def reference_edit_script(before: Sequence, after: Sequence) -> list[EditOp]:
+    """Full canonical minimal edit script transforming ``before`` into ``after``."""
+    n, m = len(before), len(after)
+    pre = 0
+    limit = min(n, m)
+    while pre < limit and before[pre] == after[pre]:
+        pre += 1
+    suf = 0
+    while suf < limit - pre and before[n - 1 - suf] == after[m - 1 - suf]:
+        suf += 1
+
+    ops: list[EditOp] = [(EQUAL, i, i) for i in range(pre)]
+    middle = _myers_middle(before[pre : n - suf], after[pre : m - suf])
+    for kind, i, j in middle:
+        ops.append((kind, i + pre, j + pre))
+    for t in range(suf):
+        ops.append((EQUAL, n - suf + t, m - suf + t))
+    return ops
 
 
 def apply_edit_script(before: list, after: list, ops: list[EditOp]) -> list:
@@ -29,6 +125,13 @@ def apply_edit_script(before: list, after: list, ops: list[EditOp]) -> list:
         elif kind == INSERT:
             out.append(after[j])
     return out
+
+
+def assert_matches_reference(before: Sequence, after: Sequence) -> None:
+    ops = reference_edit_script(before, after)
+    delta = diff_fragments(before, after)
+    assert delta.added == [after[j] for kind, _, j in ops if kind == INSERT], (before, after)
+    assert delta.removed == [before[i] for kind, i, _ in ops if kind == DELETE], (before, after)
 
 
 def test_identical_sequences_produce_empty_delta():
@@ -75,7 +178,42 @@ def test_minimality_matches_dp_oracle(a: list[str], b: list[str]):
 @settings(max_examples=300)
 @given(sequences, sequences)
 def test_edit_script_reconstructs_after(a: list[str], b: list[str]):
-    assert apply_edit_script(a, b, edit_script(a, b)) == b
+    assert apply_edit_script(a, b, reference_edit_script(a, b)) == b
+
+
+@st.composite
+def _pair_over_small_alphabet(draw) -> tuple[list[str], list[str]]:
+    alphabet = "abcdefgh"[: draw(st.integers(1, 8))]
+    side = st.lists(st.sampled_from(alphabet), max_size=60)
+    return draw(side), draw(side)
+
+
+@settings(max_examples=2000)
+@given(_pair_over_small_alphabet())
+def test_added_and_removed_equal_reference_script(pair):
+    assert_matches_reference(*pair)
+
+
+@pytest.fixture(scope="module")
+def synth_version_pairs(tmp_path_factory) -> list[tuple[str, str]]:
+    """Every consecutive (before, after) file version pair of a synthetic history."""
+    bundle = generate_history(
+        HistorySpec(seed=7, commit_count=300, file_count=8, fragment_alphabet_size=400,
+                    reuse_probability=0.5, locality_bias=0.5, token_recombination=0.3),
+        tmp_path_factory.mktemp("synth") / "bundle",
+    )
+    return [
+        (fc.before or "", fc.after or "")
+        for commit in load_history_bundle(bundle)
+        for fc in commit.file_changes
+    ]
+
+
+@pytest.mark.parametrize("fragment", [fragment_lines, lex], ids=["line", "token"])
+def test_synth_history_pairs_equal_reference_script(synth_version_pairs, fragment):
+    assert len(synth_version_pairs) >= 300
+    for before, after in synth_version_pairs:
+        assert_matches_reference(fragment(before), fragment(after))
 
 
 @settings(max_examples=300)
@@ -117,4 +255,4 @@ def test_changeset_groups_deltas_by_granularity():
                                  granularity=Granularity.TOKEN)
     changes = ChangeSet(commit=commit, deltas=[line_delta, token_delta])
     assert changes.deltas_for(Granularity.LINE) == [line_delta]
-    assert changes.added_count(Granularity.TOKEN) == 1
+    assert changes.deltas_for(Granularity.TOKEN) == [token_delta]

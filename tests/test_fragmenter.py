@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from tempred.fragmenter import (
     LexStats,
     fragment_lines,
-    fragment_tokens,
     lex,
     strip_comments,
 )
@@ -212,21 +211,21 @@ def test_fragment_lines_composes_strip_split_trim_filter():
 
 
 def test_lexes_loop_header():
-    assert fragment_tokens("for (int i=0;i<n;i++)") == [
+    assert lex("for (int i=0;i<n;i++)") == [
         "for", "(", "int", "i", "=", "0", ";", "i", "<", "n", ";", "i", "++", ")",
     ]
 
 
 def test_lexes_empty_source():
-    assert fragment_tokens("") == []
+    assert lex("") == []
 
 
 def test_maximal_munch_compound_assignment():
-    assert fragment_tokens("a >>>= b") == ["a", ">>>=", "b"]
+    assert lex("a >>>= b") == ["a", ">>>=", "b"]
 
 
 def test_maximal_munch_is_greedy_left_to_right():
-    assert fragment_tokens("i+++j") == ["i", "++", "+", "j"]
+    assert lex("i+++j") == ["i", "++", "+", "j"]
 
 
 def test_fallback_characters_counted():
@@ -255,7 +254,7 @@ token_source = st.lists(
 @settings(max_examples=400)
 @given(token_source)
 def test_token_fragment_invariants(src: str):
-    for token in fragment_tokens(src):
+    for token in lex(src):
         assert token, "tokens are non-empty"
         assert "\n" not in token and "\r" not in token
         assert token == token.strip()
@@ -284,9 +283,9 @@ def _is_subsequence_contiguous(needle: list[str], hay: list[str]) -> bool:
 @settings(max_examples=300)
 @given(token_source)
 def test_line_fragment_tokens_are_contiguous_in_file_tokens(src: str):
-    file_tokens = fragment_tokens(src)
+    file_tokens = lex(src)
     for line in fragment_lines(src):
-        assert _is_subsequence_contiguous(fragment_tokens(line), file_tokens)
+        assert _is_subsequence_contiguous(lex(line), file_tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -330,5 +329,5 @@ def test_tokens_derive_from_lines_on_synth_versions(synth_versions):
 
 def test_determinism():
     src = JAVA_SAMPLE
-    assert fragment_tokens(src) == fragment_tokens(src)
+    assert lex(src) == lex(src)
     assert fragment_lines(src) == fragment_lines(src)

@@ -18,6 +18,8 @@ from tempred.redundancy import (
     summarize,
 )
 
+from conftest import check_pool_invariants
+
 LINE = Granularity.LINE
 
 
@@ -181,7 +183,7 @@ def test_pools_grow_monotonically_and_local_subsets_global():
         index_commit(pools, changes, LINE)
         assert pools.global_pool.size >= last_size
         last_size = pools.global_pool.size
-        pools.check_invariants()
+        check_pool_invariants(pools)
     assert pools.global_pool.size == 3
 
 

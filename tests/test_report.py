@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -12,17 +16,19 @@ from click.testing import CliRunner
 from tempred import report as report_module
 from tempred.cli import main
 from tempred.errors import ConfigurationError
-from tempred.fragmenter import Granularity, LexStats, fragment_tokens, lex
+from tempred.fragmenter import Granularity, LexStats, lex
+from tempred.history import load_history_bundle
 from tempred.redundancy import NOVEL_FRAGMENT_CAP, Scope
 from tempred.report import (
     AnalysisConfig,
     emit_report,
     format_percent,
+    iter_changesets,
     render_table,
     report_to_dict,
     run_analysis,
 )
-from tempred.synth import HistorySpec, generate_history
+from tempred.synth import HistorySpec, generate_history, oracle_classify
 
 
 @pytest.fixture(scope="module")
@@ -266,26 +272,29 @@ def test_line_token_memo_cap_changes_no_output(bundle_writer, monkeypatch):
 
 
 def test_subsumption_violation_deltas_are_capped(bundle_writer, schema):
-    # A's token side is over the size cap, so its tokens never reach the pool;
-    # B then re-adds two of A's lines: line-redundant, not token-redundant.
-    lines = [f"int a{i} = b + c + d + e;" for i in range(3)]
+    # In post mode lines are raw: A's second line, whose comment opens on the
+    # line above, is kept as written, and B re-adds it on its own. B is
+    # line-redundant, but k1..k12, "*" and "/" were comment text in A, so B is
+    # not token-redundant.
+    words = " ".join(f"k{i}" for i in range(1, 13))
+    line = f"{words} */ s;"
     bundle = bundle_writer([
         {"id": "c0", "timestamp": 1,
-         "files": [{"path": "A.java", "before": None, "after": "\n".join(lines) + "\n"}]},
+         "files": [{"path": "A.java", "before": None, "after": f"/*\n{line}\n"}]},
         {"id": "c1", "timestamp": 2,
-         "files": [{"path": "B.java", "before": None, "after": "\n".join(lines[:2]) + "\n"}]},
+         "files": [{"path": "B.java", "before": None, "after": f"{line}\n"}]},
     ])
-    report = run_analysis(AnalysisConfig(source=str(bundle), bundle=True, diff_size_cap=30))
+    report = run_analysis(AnalysisConfig(source=str(bundle), bundle=True, normalize="post"))
     payload = report_to_dict(report)
     jsonschema.validate(payload, schema)
     violations = payload["diagnostics"]["subsumption_violations"]
     assert [(v["commit_id"], v["scope"]) for v in violations] == [("c1", "global")]
     deltas = {d["granularity"]: d for d in violations[0]["deltas"]}
     assert deltas["line"] == {
-        "path": "B.java", "granularity": "line", "added": lines[:2], "added_count": 2,
+        "path": "B.java", "granularity": "line", "added": [line], "added_count": 1,
         "removed": [], "removed_count": 0,
     }
-    tokens = fragment_tokens("\n".join(lines[:2]))
+    tokens = lex(line, include_comments=True)
     assert len(tokens) > NOVEL_FRAGMENT_CAP
     assert deltas["token"]["added"] == tokens[:NOVEL_FRAGMENT_CAP]
     assert deltas["token"]["added_count"] == len(tokens)
@@ -293,6 +302,51 @@ def test_subsumption_violation_deltas_are_capped(bundle_writer, schema):
     delta_schema = item["properties"]["deltas"]["items"]["properties"]
     assert delta_schema["added"]["maxItems"] == NOVEL_FRAGMENT_CAP
     assert delta_schema["removed"]["maxItems"] == NOVEL_FRAGMENT_CAP
+
+
+def test_file_over_the_cap_at_one_granularity_is_skipped_at_both(bundle_writer):
+    # A has 3 lines and 33 tokens: over a cap of 30 as tokens only. It must
+    # reach neither pool, or B re-adding two of its lines would be
+    # line-redundant but not token-redundant.
+    lines = [f"int a{i} = b + c + d + e;" for i in range(3)]
+    bundle = bundle_writer([
+        {"id": "c0", "timestamp": 1,
+         "files": [{"path": "A.java", "before": None, "after": "\n".join(lines) + "\n"}]},
+        {"id": "c1", "timestamp": 2,
+         "files": [{"path": "B.java", "before": None, "after": "\n".join(lines[:2]) + "\n"}]},
+    ])
+    config = AnalysisConfig(source=str(bundle), bundle=True, diff_size_cap=30)
+    changes = list(iter_changesets(load_history_bundle(bundle), config))
+    assert changes[0].deltas == []
+    report = run_analysis(config)
+    assert report.diagnostics["skipped_oversize_files"] == [
+        {"commit_id": "c0", "path": "A.java", "granularity": "token", "fragments": 33},
+    ]
+    assert report.diagnostics["subsumption_violations"] == []
+    for granularity in (Granularity.LINE, Granularity.TOKEN):
+        first, second = report.classifications[granularity]
+        assert not first.acceptable
+        assert second.acceptable and not second.redundant[Scope.GLOBAL]
+    oracle = oracle_classify(bundle, config)
+    assert report.classifications == oracle.classifications
+    assert report.summary == oracle.summary
+
+
+def test_package_exports_only_the_library_surface():
+    import tempred
+
+    assert set(tempred.__all__) == {
+        "__version__", "AnalysisConfig", "ConfigurationError", "Report", "emit_report",
+        "run_analysis",
+    }
+    for name in tempred.__all__:
+        assert getattr(tempred, name) is not None
+    probe = ("import sys, tempred; "
+             "print(sorted(m for m in ('tempred.synth', 'tempred.cli') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(tempred.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
