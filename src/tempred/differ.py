@@ -6,11 +6,20 @@ Several minimal edit paths can exist for one input pair; this implementation
 always follows the canonical path that prefers deletions over insertions at
 each furthest-reaching step, so output is deterministic. Only the inserted
 and deleted fragments are collected; no edit script is built.
+
+After the common prefix and suffix are trimmed, N before and M after
+fragments remain. The forward pass visits only the diagonals of that edit
+graph, k in [-M, N], as GNU diff bounds its search by ``dmin``/``dmax``:
+step d visits about (min(d, M) + min(d, N)) / 2 diagonals. For each step
+the backtrack reads only the V entries of parity d - 1 that border that
+band, so the trace keeps only those. Time and trace memory are still
+quadratic in D when N and M are both near D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Sequence, TYPE_CHECKING
 
 from .fragmenter import Granularity
@@ -64,46 +73,48 @@ def diff_fragments(
                          added=list(after[lo:m]), removed=list(before[lo:n]))
 
     # Forward pass over the trimmed middle in absolute indices: a diagonal
-    # k = x - y is the same in both, and V starts at x = lo.
-    max_d = (n - lo) + (m - lo)
-    offset = max_d + 1
-    v = [lo] * (2 * max_d + 4)
-    trace: list[list[int]] = []
-    found_d = -1
-    for d in range(max_d + 1):
-        # Keep only the window the backtrack can read: k in [-d-1, d+1].
-        trace.append(v[offset - d - 1 : offset + d + 2])
-        for k in range(-d, d + 1, 2):
-            ki = offset + k
-            if k == -d or (k != d and v[ki - 1] < v[ki + 1]):
-                x = v[ki + 1]  # step down: insertion
-            else:
-                x = v[ki - 1] + 1  # step right: deletion (preferred on ties)
+    # k = x - y is the same in both, and V starts at x = lo. A diagonal
+    # outside the band k in [-rows, cols], or not reached yet, holds -1, so
+    # an edge k needs no special case. Step d reads its neighbours from the
+    # window it stores for the backtrack.
+    cols, rows = n - lo, m - lo
+    offset = rows + 1
+    v = [-1] * (cols + rows + 3)
+    v[offset + 1] = lo
+    end = offset + cols - rows  # the diagonal of the end point (n, m)
+    trace: list[tuple[int, list[int]]] = []
+    for d in range(cols + rows + 1):
+        k_lo = -d if d <= rows else -rows + ((d - rows) & 1)
+        k_hi = d if d <= cols else cols - ((d - cols) & 1)
+        window = v[offset + k_lo - 1 : offset + k_hi + 2 : 2]
+        trace.append((k_lo, window))
+        k = k_lo
+        for left, right in pairwise(window):
+            # Step down (insertion) from k + 1 if it reaches further, else
+            # right (deletion) from k - 1, which wins when both are equal.
+            x = right if left < right else left + 1
             y = x - k
             while x < n and y < m and before[x] == after[y]:
                 x += 1
                 y += 1
-            v[ki] = x
-            if x >= n and y >= m:
-                found_d = d
-                break
-        if found_d >= 0:
+            v[offset + k] = x
+            k += 2
+        if v[end] >= n:
             break
 
     # Backtrack the canonical path, skipping each snake, then restore order.
     added: list[str] = []
     removed: list[str] = []
     x, y = n, m
-    for d in range(found_d, 0, -1):
-        win = trace[d]
-        base = d + 1  # window index of k == 0
+    for k_lo, window in reversed(trace[1:]):
         k = x - y
-        if k == -d or (k != d and win[base + k - 1] < win[base + k + 1]):
-            x = win[base + k + 1]
+        i = (k - k_lo) // 2  # window index of k - 1; k + 1 is next
+        if window[i] < window[i + 1]:
+            x = window[i + 1]
             y = x - k - 1
             added.append(after[y])
         else:
-            x = win[base + k - 1]
+            x = window[i]
             y = x - k + 1
             removed.append(before[x])
     added.reverse()

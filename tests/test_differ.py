@@ -4,6 +4,7 @@ and identity with the reference edit script."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from typing import Sequence
 
 import pytest
@@ -192,6 +193,47 @@ def _pair_over_small_alphabet(draw) -> tuple[list[str], list[str]]:
 @given(_pair_over_small_alphabet())
 def test_added_and_removed_equal_reference_script(pair):
     assert_matches_reference(*pair)
+
+
+@st.composite
+def _lopsided_pair(draw) -> tuple[list[str], list[str]]:
+    """One side up to 400 long, the other up to 40, so D often exceeds the
+    shorter length and the forward pass runs along the edges of its band."""
+    alphabet = "abcdefgh"[: draw(st.integers(1, 8))]
+
+    def side(max_len: int) -> list[str]:
+        # Fixed-size text draws much faster than a list of one-symbol draws.
+        size = draw(st.integers(0, max_len))
+        return list(draw(st.text(alphabet, min_size=size, max_size=size)))
+
+    long, short = side(400), side(40)
+    return (long, short) if draw(st.booleans()) else (short, long)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_lopsided_pair())
+def test_lopsided_pairs_equal_reference_script(pair):
+    assert_matches_reference(*pair)
+
+
+@pytest.mark.parametrize("long_first", [True, False], ids=["600-vs-60", "60-vs-600"])
+def test_lopsided_pair_trace_memory_is_bounded(long_first):
+    # The trace keeps one window per edit step, holding only the in-band
+    # entries of one parity: about 1 MiB here. A window of every k in
+    # [-d, d] would take about 3.2 MiB.
+    rng = random.Random(5)
+    alphabet = [f"f{i}" for i in range(400)]
+    long = [rng.choice(alphabet) for _ in range(600)]
+    short = [rng.choice(alphabet) for _ in range(60)]
+    before, after = (long, short) if long_first else (short, long)
+    tracemalloc.start()
+    try:
+        delta = diff_fragments(before, after)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 2**20, f"{peak / 2**20:.2f} MiB"
+    assert len(delta.added) + len(delta.removed) == 660 - 2 * lcs_length(before, after)
 
 
 @pytest.fixture(scope="module")
