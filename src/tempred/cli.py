@@ -8,6 +8,7 @@
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -31,18 +32,25 @@ from .report import (
 from .synth import oracle_classify
 
 
-def _parse_granularities(_ctx, _param, value: str) -> tuple[Granularity, ...]:
-    try:
-        return tuple(Granularity(part.strip()) for part in value.split(",") if part.strip())
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
+def _comma_list(kind):
+    """A click callback parsing a comma-separated list of ``kind`` values."""
+
+    def parse(_ctx, _param, value: str) -> tuple:
+        try:
+            return tuple(kind(part.strip()) for part in value.split(",") if part.strip())
+        except ValueError as exc:
+            raise click.BadParameter(str(exc))
+
+    return parse
 
 
-def _parse_scopes(_ctx, _param, value: str) -> tuple[Scope, ...]:
+@contextmanager
+def _user_errors():
+    """End a command with an ``Error:`` line and exit status 1, not a traceback."""
     try:
-        return tuple(Scope(part.strip()) for part in value.split(",") if part.strip())
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
+        yield
+    except (ConfigurationError, OSError) as exc:
+        raise click.ClickException(str(exc))
 
 
 def _write_output(text: str, out: str) -> None:
@@ -68,9 +76,9 @@ def main() -> None:
 @click.option("--since", type=int, default=None, help="Earliest commit timestamp (epoch).")
 @click.option("--until", type=int, default=None, help="Latest commit timestamp (epoch).")
 @click.option("--granularity", default="line,token", show_default=True,
-              callback=_parse_granularities, help="Comma-separated: line,token.")
+              callback=_comma_list(Granularity), help="Comma-separated: line,token.")
 @click.option("--scope", default="global,local", show_default=True,
-              callback=_parse_scopes, help="Comma-separated: global,local.")
+              callback=_comma_list(Scope), help="Comma-separated: global,local.")
 @click.option("--include", "includes", multiple=True,
               help=f"Include glob (repeatable). Default: {', '.join(DEFAULT_INCLUDE_GLOBS)}")
 @click.option("--exclude", "excludes", multiple=True,
@@ -90,7 +98,7 @@ def analyze(sources, bundle, branch, since, until, granularity, scope, includes,
             excludes, normalize, output_format, trace_commits, diff_size_cap, out):
     """Run the full pipeline over one or more repositories or bundles."""
     reports: list[Report] = []
-    try:
+    with _user_errors():
         for source in sources:
             config = AnalysisConfig(
                 source=source,
@@ -109,10 +117,6 @@ def analyze(sources, bundle, branch, since, until, granularity, scope, includes,
             )
             reports.append(run_analysis(config))
         _write_output(emit_report(reports, output_format), out)
-    except ConfigurationError as exc:
-        raise click.ClickException(str(exc))
-    except OSError as exc:
-        raise click.ClickException(str(exc))
 
 
 @main.command("export-bundle")
@@ -125,13 +129,9 @@ def analyze(sources, bundle, branch, since, until, granularity, scope, includes,
 @click.option("--until", type=int, default=None)
 def export_bundle_cmd(source, out, branch, since, until):
     """Export a repository's commit stream as a portable history bundle."""
-    try:
+    with _user_errors():
         stream = open_repository(source, branch=branch, since=since, until=until)
         export_bundle(stream, out)
-    except ConfigurationError as exc:
-        raise click.ClickException(str(exc))
-    except OSError as exc:
-        raise click.ClickException(str(exc))
     click.echo(f"bundle written to {out}")
 
 
@@ -140,12 +140,12 @@ def export_bundle_cmd(source, out, branch, since, until):
               type=click.Path(exists=True, file_okay=False),
               help="History bundle to classify with the naive reference.")
 @click.option("--granularity", default="line,token", show_default=True,
-              callback=_parse_granularities)
-@click.option("--scope", default="global,local", show_default=True, callback=_parse_scopes)
+              callback=_comma_list(Granularity))
+@click.option("--scope", default="global,local", show_default=True, callback=_comma_list(Scope))
 @click.option("--out", default="-", show_default=True)
 def oracle(bundle_dir, granularity, scope, out):
     """Run the brute-force reference classifier (test/diagnostic use)."""
-    try:
+    with _user_errors():
         config = AnalysisConfig(
             source=bundle_dir,
             bundle=True,
@@ -174,8 +174,6 @@ def oracle(bundle_dir, granularity, scope, out):
             trace_commits=True,
         )
         _write_output(render_json([report]), out)
-    except ConfigurationError as exc:
-        raise click.ClickException(str(exc))
 
 
 if __name__ == "__main__":

@@ -5,6 +5,11 @@ whatever container holds it (pools, deltas, the pipeline). Two granularities
 are supported: lines (comment-stripped, trimmed, blank lines dropped) and
 tokens (lexed with a permissive Java lexer that never fails).
 
+Java's comment and string/char literal syntax is written down once, as three
+regex sub-patterns. They are compiled both into the comment stripper's scan
+and into the lexer's single token pattern, so the two always agree on where
+a comment or a literal begins and ends.
+
 Fragment equality is exact, case-sensitive string equality; literals keep
 their actual values.
 """
@@ -23,7 +28,7 @@ class Granularity(str, Enum):
 
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
-# Longest first, so maximal munch is a plain startswith scan.
+# Longest first, so regex alternation picks the maximal munch.
 MULTI_CHAR_OPERATORS: tuple[str, ...] = (
     ">>>=",
     ">>>", "<<=", ">>=",
@@ -31,14 +36,37 @@ MULTI_CHAR_OPERATORS: tuple[str, ...] = (
     "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>",
 )
 
-# Recognized single-character symbols; anything else that reaches the final
-# branch of the lexer is emitted as-is but counted as a fallback.
+# Recognized single-character symbols; any other character that reaches the
+# last alternative of the lexer is emitted as-is but counted as a fallback.
 SINGLE_CHAR_SYMBOLS = frozenset("(){}[];,.@~?:=<>!+-*/%&|^")
 
-_IDENTIFIER = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-_HEX_NUMBER = re.compile(r"0[xX][0-9a-fA-F]+[lL]?")
-_DEC_NUMBER = re.compile(r"(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?[fFdDlL]?")
-_ASCII_DIGITS = frozenset("0123456789")
+# The one definition of comment and literal syntax, shared by the stripper
+# and the lexer. A line comment runs up to its line break; a block comment
+# runs to ``*/`` or, unterminated, to end of input. String and char literals
+# honour backslash escapes and, unterminated, stop before a line break.
+_LINE_COMMENT = r"//[^\r\n]*"
+_BLOCK_COMMENT = r"/\*(?s:.*?)(?:\*/|\Z)"
+_LITERAL = r""""(?:[^"\\\r\n]|\\[^\r\n]?)*"?|'(?:[^'\\\r\n]|\\[^\r\n]?)*'?"""
+
+# Literals are matched only so that comment markers inside them are left alone.
+_COMMENT_OR_LITERAL = re.compile(rf"{_LINE_COMMENT}|(?P<block>{_BLOCK_COMMENT})|{_LITERAL}")
+_NOT_LINE_BREAK = re.compile(r"[^\r\n]+")
+
+# One alternative per token class, in priority order. ``\s`` is exactly
+# ``str.isspace``. Numbers, identifiers and operators are unnamed: their
+# text is the token as is.
+_TOKEN = re.compile(
+    "|".join((
+        r"(?P<space>\s+)",
+        rf"(?P<comment>{_LINE_COMMENT}|{_BLOCK_COMMENT})",
+        rf"(?P<literal>{_LITERAL})",
+        r"0[xX][0-9a-fA-F]+[lL]?",
+        r"(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?[fFdDlL]?",
+        r"[A-Za-z_$][A-Za-z0-9_$]*",
+        *map(re.escape, MULTI_CHAR_OPERATORS),
+        r"(?P<char>(?s:.))",
+    ))
+)
 
 
 @dataclass
@@ -46,43 +74,6 @@ class LexStats:
     """Counters surfaced as run diagnostics; the lexer itself never fails."""
 
     fallback_tokens: int = 0
-
-
-def _scan_quoted(source: str, start: int, quote: str) -> int:
-    """Return the index just past the literal opened at ``start``.
-
-    Backslash escapes are honoured. Literals never span line breaks: an
-    unterminated literal ends (exclusively) at the next line break or at end
-    of input.
-    """
-    n = len(source)
-    i = start + 1
-    while i < n:
-        c = source[i]
-        if c == quote:
-            return i + 1
-        if c == "\n" or c == "\r":
-            return i
-        if c == "\\" and i + 1 < n and source[i + 1] not in "\r\n":
-            i += 2
-        else:
-            i += 1
-    return n
-
-
-# One scan for everything comment stripping must see: a line comment up to
-# its line break, a block comment (an unterminated one runs to end of
-# input), and string or char literals, which honour backslash escapes and
-# stop before a line break when unterminated. Literals are matched only so
-# that comment markers inside them are left alone.
-_COMMENT_OR_LITERAL = re.compile(
-    r"""//[^\r\n]*
-      | (?P<block>/\*(?s:.*?)(?:\*/|\Z))
-      | "(?:[^"\\\r\n]|\\[^\r\n]?)*"?
-      | '(?:[^'\\\r\n]|\\[^\r\n]?)*'?""",
-    re.VERBOSE,
-)
-_NOT_LINE_BREAK = re.compile(r"[^\r\n]+")
 
 
 def _strip_match(m: re.Match) -> str:
@@ -126,67 +117,29 @@ def fragment_lines(source: str) -> list[str]:
 def lex(source: str, include_comments: bool = False, stats: LexStats | None = None) -> list[str]:
     """Lex Java-like text into token strings. Total: unknown input never raises.
 
-    Priority at each position: string literal (quotes included), char literal,
-    numeric literal, identifier/keyword (not distinguished), multi-character
-    operator by maximal munch, single character. Whitespace is skipped;
-    comments are skipped unless ``include_comments`` is set, in which case each
-    comment becomes one element (used by the post-normalization diff mode).
+    Priority at each position: comment, string or char literal (quotes
+    included), numeric literal, identifier/keyword (not distinguished),
+    multi-character operator by maximal munch, single character. Whitespace
+    is skipped; comments are skipped unless ``include_comments`` is set, in
+    which case each comment becomes one element (used by the
+    post-normalization diff mode).
     """
     tokens: list[str] = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
+    fallbacks = 0
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "space" or (kind == "comment" and not include_comments):
             continue
-        if c == "/" and i + 1 < n:
-            nxt = source[i + 1]
-            if nxt == "/":
-                m = _LINE_BREAK.search(source, i)
-                end = m.start() if m else n
-                if include_comments:
-                    tokens.append(source[i:end])
-                i = end
-                continue
-            if nxt == "*":
-                stop = source.find("*/", i + 2)
-                end = n if stop < 0 else stop + 2
-                if include_comments:
-                    tokens.append(source[i:end])
-                i = end
-                continue
-        if c == '"' or c == "'":
-            end = _scan_quoted(source, i, c)
-            token = source[i:end]
-            if len(token) < 2 or token[-1] != c:
-                # Unterminated literal: drop trailing whitespace so the token
-                # lexes the same whether seen in a file or in a trimmed line.
-                token = token.rstrip()
-            tokens.append(token)
-            i = end
-            continue
-        if c in _ASCII_DIGITS or (
-            c == "." and i + 1 < n and source[i + 1] in _ASCII_DIGITS
-        ):
-            m = _HEX_NUMBER.match(source, i) or _DEC_NUMBER.match(source, i)
-            tokens.append(m.group())
-            i = m.end()
-            continue
-        m = _IDENTIFIER.match(source, i)
-        if m:
-            tokens.append(m.group())
-            i = m.end()
-            continue
-        for op in MULTI_CHAR_OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(op)
-                i += len(op)
-                break
-        else:
-            tokens.append(c)
-            if stats is not None and c not in SINGLE_CHAR_SYMBOLS:
-                stats.fallback_tokens += 1
-            i += 1
+        token = m.group()
+        if kind == "literal":
+            # An unterminated literal drops trailing whitespace, so the token
+            # lexes the same whether seen in a file or in a trimmed line.
+            token = token.rstrip()
+        elif kind == "char" and token not in SINGLE_CHAR_SYMBOLS:
+            fallbacks += 1
+        tokens.append(token)
+    if stats is not None:
+        stats.fallback_tokens += fallbacks
     return tokens
 
 

@@ -124,26 +124,17 @@ def classify_commit(
     redundant: dict[Scope, bool] = {}
     novel: dict[Scope, list[str]] = {}
 
-    if Scope.GLOBAL in scopes:
+    for scope in scopes:
         out: list[str] = []
         seen: set[str] = set()
         all_present = True
         for delta in deltas:
-            if not _novel_in(pools.global_pool, delta.added, seen, out):
+            pool = (pools.global_pool if scope is Scope.GLOBAL
+                    else pools.local_pools.get(delta.path))
+            if not _novel_in(pool, delta.added, seen, out):
                 all_present = False
-        redundant[Scope.GLOBAL] = acceptable and all_present
-        novel[Scope.GLOBAL] = out
-
-    if Scope.LOCAL in scopes:
-        out = []
-        seen = set()
-        all_present = True
-        for delta in deltas:
-            local = pools.local_pools.get(delta.path)
-            if not _novel_in(local, delta.added, seen, out):
-                all_present = False
-        redundant[Scope.LOCAL] = acceptable and all_present
-        novel[Scope.LOCAL] = out
+        redundant[scope] = acceptable and all_present
+        novel[scope] = out
 
     return CommitClassification(
         commit_id=commit.commit_id,

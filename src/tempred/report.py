@@ -90,6 +90,8 @@ class AnalysisConfig:
             raise ConfigurationError(f"normalize must be 'pre' or 'post', got {self.normalize!r}")
         if self.output_format not in ("json", "csv", "table"):
             raise ConfigurationError(f"unknown output format {self.output_format!r}")
+        if self.diff_size_cap < 0:
+            raise ConfigurationError(f"diff_size_cap must be >= 0, got {self.diff_size_cap}")
 
     @property
     def project_name(self) -> str:

@@ -77,6 +77,121 @@ def reference_strip_comments(src: str) -> str:
     return "".join(out)
 
 
+# ---------------------------------------------------------------------------
+# Independent reference lexer: the character-by-character scanner the
+# production lexer's single token pattern replaced, kept verbatim with its own
+# copies of the operator and symbol tables.
+# ---------------------------------------------------------------------------
+
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+# Longest first, so maximal munch is a plain startswith scan.
+MULTI_CHAR_OPERATORS: tuple[str, ...] = (
+    ">>>=",
+    ">>>", "<<=", ">>=",
+    "->", "::", "++", "--", "&&", "||", "==", "!=", "<=", ">=",
+    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>",
+)
+
+SINGLE_CHAR_SYMBOLS = frozenset("(){}[];,.@~?:=<>!+-*/%&|^")
+
+_IDENTIFIER = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+_HEX_NUMBER = re.compile(r"0[xX][0-9a-fA-F]+[lL]?")
+_DEC_NUMBER = re.compile(r"(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?[fFdDlL]?")
+_ASCII_DIGITS = frozenset("0123456789")
+
+
+def _scan_quoted(source: str, start: int, quote: str) -> int:
+    """Return the index just past the literal opened at ``start``.
+
+    Backslash escapes are honoured. Literals never span line breaks: an
+    unterminated literal ends (exclusively) at the next line break or at end
+    of input.
+    """
+    n = len(source)
+    i = start + 1
+    while i < n:
+        c = source[i]
+        if c == quote:
+            return i + 1
+        if c == "\n" or c == "\r":
+            return i
+        if c == "\\" and i + 1 < n and source[i + 1] not in "\r\n":
+            i += 2
+        else:
+            i += 1
+    return n
+
+
+def reference_lex(
+    source: str, include_comments: bool = False, stats: LexStats | None = None
+) -> list[str]:
+    """Lex Java-like text into token strings. Total: unknown input never raises.
+
+    Priority at each position: string literal (quotes included), char literal,
+    numeric literal, identifier/keyword (not distinguished), multi-character
+    operator by maximal munch, single character. Whitespace is skipped;
+    comments are skipped unless ``include_comments`` is set, in which case each
+    comment becomes one element (used by the post-normalization diff mode).
+    """
+    tokens: list[str] = []
+    i, n = 0, len(source)
+    while i < n:
+        c = source[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == "/" and i + 1 < n:
+            nxt = source[i + 1]
+            if nxt == "/":
+                m = _LINE_BREAK.search(source, i)
+                end = m.start() if m else n
+                if include_comments:
+                    tokens.append(source[i:end])
+                i = end
+                continue
+            if nxt == "*":
+                stop = source.find("*/", i + 2)
+                end = n if stop < 0 else stop + 2
+                if include_comments:
+                    tokens.append(source[i:end])
+                i = end
+                continue
+        if c == '"' or c == "'":
+            end = _scan_quoted(source, i, c)
+            token = source[i:end]
+            if len(token) < 2 or token[-1] != c:
+                # Unterminated literal: drop trailing whitespace so the token
+                # lexes the same whether seen in a file or in a trimmed line.
+                token = token.rstrip()
+            tokens.append(token)
+            i = end
+            continue
+        if c in _ASCII_DIGITS or (
+            c == "." and i + 1 < n and source[i + 1] in _ASCII_DIGITS
+        ):
+            m = _HEX_NUMBER.match(source, i) or _DEC_NUMBER.match(source, i)
+            tokens.append(m.group())
+            i = m.end()
+            continue
+        m = _IDENTIFIER.match(source, i)
+        if m:
+            tokens.append(m.group())
+            i = m.end()
+            continue
+        for op in MULTI_CHAR_OPERATORS:
+            if source.startswith(op, i):
+                tokens.append(op)
+                i += len(op)
+                break
+        else:
+            tokens.append(c)
+            if stats is not None and c not in SINGLE_CHAR_SYMBOLS:
+                stats.fallback_tokens += 1
+            i += 1
+    return tokens
+
+
 java_soup = st.lists(
     st.sampled_from(
         list("ab1 \t\n\r/*") + ["/*", "*/", "//", '"', "'", "\\", ";", "="]
@@ -325,6 +440,26 @@ def test_tokens_derive_from_normalized_lines(src: str):
 def test_tokens_derive_from_lines_on_synth_versions(synth_versions):
     for text in synth_versions + [JAVA_SAMPLE, "price = €50; # tag `x`\n/* é\n */ y = 'q"]:
         assert _lex_by_lines(text) == _lex_whole(text)
+
+
+def _lex_both_modes(lexer, src: str) -> list[tuple[list[str], int]]:
+    out = []
+    for include_comments in (False, True):
+        stats = LexStats()
+        out.append((lexer(src, include_comments, stats), stats.fallback_tokens))
+    return out
+
+
+@settings(max_examples=5000)
+@given(derivation_source)
+def test_lex_matches_reference_lexer(src: str):
+    assert _lex_both_modes(lex, src) == _lex_both_modes(reference_lex, src)
+
+
+def test_lex_matches_reference_lexer_on_synth_versions(synth_versions):
+    edge = "price\x0b= €50; // é\nx >>>= 0x1FL >>> .5e-3f;\ns = \"open \t\n/* open"
+    for text in synth_versions + [JAVA_SAMPLE, edge]:
+        assert _lex_both_modes(lex, text) == _lex_both_modes(reference_lex, text)
 
 
 def test_determinism():

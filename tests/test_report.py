@@ -56,6 +56,12 @@ def test_config_requires_granularity_and_scope():
         AnalysisConfig(source="x", normalize="sideways")
 
 
+def test_config_rejects_negative_diff_size_cap():
+    with pytest.raises(ConfigurationError, match="diff_size_cap"):
+        AnalysisConfig(source="x", diff_size_cap=-1)
+    assert AnalysisConfig(source="x", diff_size_cap=0).diff_size_cap == 0
+
+
 def test_empty_bundle_report_has_zero_commits_and_null_redundancy(bundle_writer):
     bundle = bundle_writer([])
     report = run_analysis(AnalysisConfig(source=str(bundle), bundle=True))
@@ -445,6 +451,27 @@ def test_cli_oracle_outputs_trace_json(small_bundle):
     payload = json.loads(result.output)
     assert payload["config_echo"]["engine"] == "oracle"
     assert payload["commits"]
+
+
+def _assert_clean_cli_error(result, message: str) -> None:
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output.startswith("Error: ")
+    assert message in result.output
+
+
+def test_cli_rejects_negative_diff_size_cap(small_bundle):
+    result = CliRunner().invoke(
+        main, ["analyze", "--source", str(small_bundle), "--bundle", "--diff-size-cap", "-1"]
+    )
+    _assert_clean_cli_error(result, "diff_size_cap must be >= 0, got -1")
+
+
+def test_cli_oracle_out_into_missing_directory_is_a_clean_error(small_bundle, tmp_path):
+    out = tmp_path / "missing" / "oracle.json"
+    result = CliRunner().invoke(main, ["oracle", "--bundle", str(small_bundle), "--out", str(out)])
+    _assert_clean_cli_error(result, "No such file or directory")
+    assert not out.parent.exists()
 
 
 def test_cli_multiple_sources_render_one_row_each(small_bundle, tmp_path):
