@@ -1,5 +1,6 @@
 """Minimal added/removed fragments between fragment sequences via the Myers
-O((N+M)D) diff.
+O((N+M)D) diff, and verdict deltas that skip the diff where its choice of
+path cannot change a verdict.
 
 The added/removed fragment collections are multisets (duplicates kept).
 Several minimal edit paths can exist for one input pair; this implementation
@@ -14,13 +15,47 @@ step d visits about (min(d, M) + min(d, N)) / 2 diagonals. For each step
 the backtrack reads only the V entries of parity d - 1 that border that
 band, so the trace keeps only those. Time and trace memory are still
 quadratic in D when N and M are both near D.
+
+``verdict_delta`` gives redundancy classification what it reads of a delta
+without paying that quadratic cost. Call the trimmed middles B' and A', with
+N and M fragments as above, and L the fragments already indexed at the
+file's path (its local pool, as the commit will be classified against it).
+It takes the first of three steps that applies:
+
+1. The Myers pass above, stopped after step 2 * isqrt(N + M), or not run
+   when |N - M|, a lower bound on D, is larger. Step d visits at most
+   d + 1 diagonals, so this is at most about 2 (N + M) diagonals and
+   O(N + M) trace memory, about what step 2 costs. A pair that finishes
+   keeps its canonical delta.
+2. If every fragment in both A' and B' is in L, a verdict delta: its
+   ``added`` lists the A' fragments that are not in B', in A' order, and its
+   ``added_count`` is M - LCS(B', A'), computed by ``bit_lcs_length``.
+3. Otherwise ``None``: the caller runs ``diff_fragments`` in full.
+
+Why step 2 changes no verdict, pool or count. A fragment of A' that is not
+in B' has nothing to match, so every diff, the canonical one included,
+inserts each of its occurrences. The canonical ``added`` is therefore the
+verdict ``added`` with some occurrences of fragments of A' ∩ B' interleaved,
+all in A' order. Those fragments are in L, and L is a subset of the global
+pool, because indexing adds every fragment to both. Against either pool the
+extra occurrences are present, so they change neither "every added fragment
+is in the pool" nor the novel fragments, which skip present fragments; the
+order of the novel fragments is kept too. Indexing them adds nothing,
+because ``FragmentPool.add`` keeps the first entry, so the pools, their
+``first_seen`` values and their insertion order come out the same. A local
+pool is created when a delta adds something. If the canonical ``added`` is
+non-empty and the verdict ``added`` is empty, every fragment of A' is in B',
+hence in L, so L already exists and neither delta creates a pool. The count
+is exact: trimming removes only matched fragments, so a minimal diff inserts
+M - LCS(B', A') fragments, which is ``len`` of the canonical ``added``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import pairwise
-from typing import Sequence, TYPE_CHECKING
+from math import isqrt
+from typing import Container, Sequence, TYPE_CHECKING
 
 from .fragmenter import Granularity
 
@@ -30,12 +65,32 @@ if TYPE_CHECKING:
 
 @dataclass
 class FileDelta:
-    """Added and removed fragments of one file in one commit, one granularity."""
+    """Added and removed fragments of one file in one commit, one granularity.
+
+    A delta from step 2 of ``verdict_delta`` lists in ``added`` only the
+    fragments every minimal diff inserts, and nothing in ``removed``: its
+    ``inserts`` holds the exact insert count, and ``sides`` the two
+    sequences, so that ``exact`` can diff them in full.
+    """
 
     path: str
     granularity: Granularity
     added: list[str]
     removed: list[str]
+    inserts: int | None = None
+    sides: tuple[Sequence[str], Sequence[str]] | None = field(
+        default=None, repr=False, compare=False)
+
+    @property
+    def added_count(self) -> int:
+        """How many fragments a minimal diff inserts."""
+        return len(self.added) if self.inserts is None else self.inserts
+
+    def exact(self) -> FileDelta:
+        """This delta with every inserted and deleted fragment listed."""
+        if self.sides is None:
+            return self
+        return diff_fragments(*self.sides, path=self.path, granularity=self.granularity)
 
 
 @dataclass
@@ -49,18 +104,9 @@ class ChangeSet:
         return [d for d in self.deltas if d.granularity == granularity]
 
 
-def diff_fragments(
-    before: Sequence[str],
-    after: Sequence[str],
-    *,
-    path: str = "",
-    granularity: Granularity = Granularity.LINE,
-) -> FileDelta:
-    """Minimal added/removed fragment multisets between two fragment sequences.
-
-    Both lists are in sequence order. An absent file side is the empty
-    sequence (file add means empty before, file delete means empty after).
-    """
+def _trim(before: Sequence[str], after: Sequence[str]) -> tuple[int, int, int]:
+    """``(lo, n, m)``: the middles left after the common prefix and suffix
+    are ``before[lo:n]`` and ``after[lo:m]``."""
     n, m = len(before), len(after)
     lo = 0
     while lo < n and lo < m and before[lo] == after[lo]:
@@ -68,9 +114,17 @@ def diff_fragments(
     while n > lo and m > lo and before[n - 1] == after[m - 1]:
         n -= 1
         m -= 1
+    return lo, n, m
+
+
+def _middle_edits(before: Sequence[str], after: Sequence[str], lo: int, n: int,
+                  m: int, max_d: int) -> tuple[list[str], list[str]] | None:
+    """Canonical (added, removed) of the trimmed middles, or ``None`` if
+    they are more than ``max_d`` edits apart."""
     if lo == n or lo == m:
-        return FileDelta(path=path, granularity=granularity,
-                         added=list(after[lo:m]), removed=list(before[lo:n]))
+        return list(after[lo:m]), list(before[lo:n])
+    if abs(n - m) > max_d:
+        return None  # D is at least the difference in length
 
     # Forward pass over the trimmed middle in absolute indices: a diagonal
     # k = x - y is the same in both, and V starts at x = lo. A diagonal
@@ -83,7 +137,7 @@ def diff_fragments(
     v[offset + 1] = lo
     end = offset + cols - rows  # the diagonal of the end point (n, m)
     trace: list[tuple[int, list[int]]] = []
-    for d in range(cols + rows + 1):
+    for d in range(min(cols + rows, max_d) + 1):
         k_lo = -d if d <= rows else -rows + ((d - rows) & 1)
         k_hi = d if d <= cols else cols - ((d - cols) & 1)
         window = v[offset + k_lo - 1 : offset + k_hi + 2 : 2]
@@ -101,6 +155,8 @@ def diff_fragments(
             k += 2
         if v[end] >= n:
             break
+    else:
+        return None
 
     # Backtrack the canonical path, skipping each snake, then restore order.
     added: list[str] = []
@@ -119,7 +175,86 @@ def diff_fragments(
             removed.append(before[x])
     added.reverse()
     removed.reverse()
+    return added, removed
+
+
+def diff_fragments(
+    before: Sequence[str],
+    after: Sequence[str],
+    *,
+    path: str = "",
+    granularity: Granularity = Granularity.LINE,
+) -> FileDelta:
+    """Minimal added/removed fragment multisets between two fragment sequences.
+
+    Both lists are in sequence order. An absent file side is the empty
+    sequence (file add means empty before, file delete means empty after).
+    """
+    added, removed = _middle_edits(before, after, *_trim(before, after),
+                                   len(before) + len(after))
     return FileDelta(path=path, granularity=granularity, added=added, removed=removed)
+
+
+def verdict_delta(
+    before: Sequence[str],
+    after: Sequence[str],
+    known: Container[str],
+    *,
+    path: str = "",
+    granularity: Granularity = Granularity.LINE,
+) -> FileDelta | None:
+    """A delta that classifies and indexes like ``diff_fragments``'s, or
+    ``None`` when only the full diff can give one.
+
+    ``known`` holds the fragments already indexed at ``path``. See the module
+    docstring for the three steps and why a step-2 delta is safe.
+    """
+    lo, n, m = _trim(before, after)
+    edits = _middle_edits(before, after, lo, n, m, 2 * isqrt((n - lo) + (m - lo)))
+    if edits is not None:
+        return FileDelta(path=path, granularity=granularity, added=edits[0],
+                         removed=edits[1])
+    old, new = before[lo:n], after[lo:m]
+    common = set(old).intersection(new)
+    if not all(fragment in known for fragment in common):
+        return None
+    # A fragment on one side only matches nothing, so the LCS of the
+    # middles is the LCS of their common fragments.
+    lcs = bit_lcs_length([f for f in old if f in common], [f for f in new if f in common])
+    return FileDelta(
+        path=path,
+        granularity=granularity,
+        added=[fragment for fragment in new if fragment not in common],
+        removed=[],
+        inserts=len(new) - lcs,
+        sides=(before, after),
+    )
+
+
+def bit_lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
+    """Exact longest-common-subsequence length, bit-parallel.
+
+    The bit-string LCS of Allison and Dix (IPL 1986) in Hyyrö's form
+    ("Bit-parallel LCS-length computation revisited", 2004). Columns are the
+    fragments of the shorter side; one Python int holds a row of the LCS
+    table, and each fragment of the longer side updates it with a few integer
+    operations over ``len(shorter)`` bits, done in C. The zero bits of
+    ``row`` mark the columns where the row steps up, so they count the LCS.
+    The match masks take at most one ``len(shorter)``-bit int per distinct
+    fragment of the shorter side.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    masks: dict[str, int] = {}
+    for i, fragment in enumerate(a):
+        masks[fragment] = masks.get(fragment, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    row = full
+    for match in map(masks.get, b):
+        if match:
+            low = row & match
+            row = ((row + low) | (row - low)) & full
+    return len(a) - row.bit_count()
 
 
 def lcs_length(a: Sequence, b: Sequence) -> int:

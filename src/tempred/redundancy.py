@@ -118,7 +118,7 @@ def classify_commit(
         )
 
     deltas = changes.deltas_for(granularity)
-    added_count = sum(len(d.added) for d in deltas)
+    added_count = sum(d.added_count for d in deltas)
     acceptable = added_count >= 1
 
     redundant: dict[Scope, bool] = {}

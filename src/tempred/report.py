@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .differ import ChangeSet, FileDelta, diff_fragments
+from .differ import ChangeSet, FileDelta, diff_fragments, verdict_delta
 from .errors import ConfigurationError
 from .fragmenter import (
     Granularity,
@@ -86,6 +86,12 @@ class AnalysisConfig:
             raise ConfigurationError("at least one granularity must be selected")
         if not self.scopes:
             raise ConfigurationError("at least one scope must be selected")
+        for kind, chosen in (("granularity", self.granularities), ("scope", self.scopes)):
+            if len(set(chosen)) < len(chosen):
+                raise ConfigurationError(
+                    f"each {kind} may be selected once, got "
+                    f"{','.join(item.value for item in chosen)}"
+                )
         if self.normalize not in (PRE, POST):
             raise ConfigurationError(f"normalize must be 'pre' or 'post', got {self.normalize!r}")
         if self.output_format not in ("json", "csv", "table"):
@@ -165,6 +171,9 @@ class _PipelineState:
     texts: OrderedDict[str, _Fragments] = field(default_factory=OrderedDict)
     line_tokens: dict[str, tuple[tuple[str, ...], int]] = field(default_factory=dict)
     skipped_oversize: list[dict] = field(default_factory=list)
+    # File pairs for which ``verdict_delta`` gave no delta and the full
+    # differ ran.
+    diff_fallbacks: int = 0
 
     def fragments(self, text: str | None) -> _Fragments:
         if text is None:
@@ -218,8 +227,14 @@ def _make_state(config: AnalysisConfig) -> _PipelineState:
 
 
 def _commit_changes(commit: CommitRecord, config: AnalysisConfig,
-                    state: _PipelineState) -> ChangeSet:
+                    state: _PipelineState,
+                    pools: dict[Granularity, ScopedPools] | None = None) -> ChangeSet:
+    """One commit's deltas. Given the pools the commit will be classified
+    against, a ``pre``-mode pair takes ``verdict_delta``'s deltas, which
+    classify and index as the full diff's would; ``post`` mode filters the
+    full diff's fragments, so it always diffs."""
     changes = ChangeSet(commit=commit)
+    fast = pools is not None and config.normalize == PRE
     retained = filter_files(commit.file_changes, state.rules)
     # One cache lookup per file side, whatever the granularities analyzed.
     sides = [(state.fragments(fc.before), state.fragments(fc.after)) for fc in retained]
@@ -246,7 +261,14 @@ def _commit_changes(commit: CommitRecord, config: AnalysisConfig,
                 )
             if skip:
                 continue
-            delta = diff_fragments(before, after, path=fc.path, granularity=granularity)
+            delta = None
+            if fast:
+                local = pools[granularity].local_pools.get(fc.path)
+                delta = verdict_delta(before, after, local.first_seen if local else (),
+                                      path=fc.path, granularity=granularity)
+                state.diff_fallbacks += delta is None
+            if delta is None:
+                delta = diff_fragments(before, after, path=fc.path, granularity=granularity)
             if config.normalize == POST:
                 post_filter_delta(delta)
             changes.deltas.append(delta)
@@ -277,6 +299,9 @@ class Report:
     config_echo: dict
     commit_count: int
     trace_commits: bool = False
+    # File pairs the pipeline had to diff in full (see ``verdict_delta``);
+    # kept out of the serialized report.
+    diff_fallbacks: int = 0
 
 
 def _clip_stream(commits: Iterable[CommitRecord], since: int | None,
@@ -316,7 +341,9 @@ def open_source(config: AnalysisConfig, on_warning=None) -> Iterator[CommitRecor
 def _violation_delta(delta: FileDelta) -> dict:
     """A delta as dumped into ``subsumption_violations``: at most
     ``NOVEL_FRAGMENT_CAP`` added and removed fragments, plus the full counts,
-    so one large file cannot blow up the diagnostics."""
+    so one large file cannot blow up the diagnostics. A verdict delta is
+    diffed in full first."""
+    delta = delta.exact()
     return {
         "path": delta.path,
         "granularity": delta.granularity.value,
@@ -346,7 +373,7 @@ def analyze_commits(commits: Iterable[CommitRecord], config: AnalysisConfig,
 
     for commit in commits:
         commit_count += 1
-        changes = _commit_changes(commit, config, state)
+        changes = _commit_changes(commit, config, state, pools)
         per_commit: dict[Granularity, CommitClassification] = {}
         for granularity in config.granularities:
             per_commit[granularity] = classify_commit(
@@ -396,6 +423,7 @@ def analyze_commits(commits: Iterable[CommitRecord], config: AnalysisConfig,
         config_echo=config.echo(),
         commit_count=commit_count,
         trace_commits=config.trace_commits,
+        diff_fallbacks=state.diff_fallbacks,
     )
 
 

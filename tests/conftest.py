@@ -1,15 +1,24 @@
 """Shared fixtures: git repository builder, bundle writer, acceptance summary,
-pool invariant check."""
+pool invariant check, all-diff reference classification."""
 
 from __future__ import annotations
 
 import json
 import subprocess
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
-from tempred.redundancy import ScopedPools
+from tempred.fragmenter import Granularity
+from tempred.history import CommitRecord
+from tempred.redundancy import (
+    CommitClassification,
+    ScopedPools,
+    classify_commit,
+    index_commit,
+)
+from tempred.report import AnalysisConfig, iter_changesets
 
 # Populated by tests/test_acceptance.py; printed once at the end of the run so
 # each criterion gets its own visible pass/fail line.
@@ -28,6 +37,27 @@ def check_pool_invariants(pools: ScopedPools) -> None:
                 raise AssertionError(
                     f"local pool for {path} holds {fragment!r} missing from global pool"
                 )
+
+
+def reference_classify(
+    commits: Iterable[CommitRecord], config: AnalysisConfig
+) -> tuple[dict[Granularity, list[CommitClassification]], dict[Granularity, ScopedPools]]:
+    """Classify a commit stream with every file pair diffed in full.
+
+    ``iter_changesets`` runs ``diff_fragments`` on every pair, and each commit
+    is classified and then indexed as ``analyze_commits`` does, but without
+    its verdict deltas. Tests compare the pipeline against this.
+    """
+    pools = {g: ScopedPools.create(g) for g in config.granularities}
+    classifications: dict[Granularity, list[CommitClassification]] = {
+        g: [] for g in config.granularities
+    }
+    for changes in iter_changesets(commits, config):
+        for g in config.granularities:
+            classifications[g].append(classify_commit(pools[g], changes, g, scopes=config.scopes))
+        for g in config.granularities:
+            index_commit(pools[g], changes, g)
+    return classifications, pools
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -101,6 +101,12 @@ def test_incremental_pipeline_equals_bruteforce_oracle(corpus):
     assert elapsed < 60.0, f"oracle equivalence took {elapsed:.1f}s (budget 60s)"
 
 
+def test_corpus_needs_no_diff_fallback(corpus):
+    # Every corpus history is complete, so every file pair the bounded diff
+    # leaves over meets the verdict delta's condition.
+    assert [_analyze(bundle).diff_fallbacks for bundle in corpus] == [0] * len(corpus)
+
+
 # ---------------------------------------------------------------------------
 # 2. Diff minimality
 # ---------------------------------------------------------------------------

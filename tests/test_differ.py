@@ -5,13 +5,20 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempred.differ import ChangeSet, diff_fragments, lcs_length
+from tempred.differ import (
+    ChangeSet,
+    bit_lcs_length,
+    diff_fragments,
+    lcs_length,
+    verdict_delta,
+)
 from tempred.fragmenter import Granularity, fragment_lines, lex
 from tempred.history import CommitRecord, load_history_bundle
 from tempred.synth import HistorySpec, generate_history
@@ -298,3 +305,90 @@ def test_changeset_groups_deltas_by_granularity():
     changes = ChangeSet(commit=commit, deltas=[line_delta, token_delta])
     assert changes.deltas_for(Granularity.LINE) == [line_delta]
     assert changes.deltas_for(Granularity.TOKEN) == [token_delta]
+
+
+# ---------------------------------------------------------------------------
+# Bit-parallel LCS and verdict deltas
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _pair_for_lcs(draw) -> tuple[list[str], list[str]]:
+    """Both sides up to 60 long (either may be empty), or one in four
+    lopsided, up to 400 vs 40, over alphabets of 1-8 symbols."""
+    size = draw(st.integers(1, 8))
+    lopsided = draw(st.integers(0, 3)) == 0
+    # Bytes mapped onto the alphabet draw much faster than text or lists.
+    a, b = (
+        [chr(ord("a") + byte % size) for byte in draw(st.binary(max_size=max_len))]
+        for max_len in ((400, 40) if lopsided else (60, 60))
+    )
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=5000, deadline=None)
+@given(_pair_for_lcs())
+def test_bit_lcs_length_matches_dp_oracle(pair):
+    assert bit_lcs_length(*pair) == lcs_length(*pair)
+
+
+def test_bit_lcs_length_examples():
+    assert bit_lcs_length([], []) == 0
+    assert bit_lcs_length(list("abc"), []) == 0
+    assert bit_lcs_length(list("abcbdab"), list("bdcaba")) == 4
+    assert bit_lcs_length(["x"] * 70, ["x"] * 90) == 70
+
+
+def assert_sound_verdict(before: list[str], after: list[str], known: frozenset[str]) -> str:
+    """``verdict_delta`` gives the canonical delta, or a verdict delta that
+    classifies and indexes like it, or ``None`` only where a fragment on
+    both sides is unknown. Returns which of the three it gave."""
+    canonical = diff_fragments(before, after, path="F", granularity=Granularity.TOKEN)
+    delta = verdict_delta(before, after, known, path="F", granularity=Granularity.TOKEN)
+    if delta is None:
+        assert set(before) & set(after) - known
+        return "fallback"
+    assert (delta.path, delta.granularity) == ("F", Granularity.TOKEN)
+    if delta.inserts is None:
+        assert delta == canonical
+        return "diff"
+    assert delta.removed == []
+    assert delta.added_count == len(canonical.added)
+    assert delta.exact() == canonical
+    # The canonical additions are these in order, plus known fragments only.
+    rest = iter(canonical.added)
+    assert all(fragment in rest for fragment in delta.added)
+    extra = Counter(canonical.added) - Counter(delta.added)
+    assert set(extra) <= known
+    return "verdict"
+
+
+@st.composite
+def _pair_and_known(draw) -> tuple[list[str], list[str], frozenset[str]]:
+    """A pair up to 60 long over 1-8 symbols, and a set of known fragments:
+    some of those on both sides, and maybe some on neither."""
+    size = draw(st.integers(1, 8))
+    before, after = (
+        [chr(ord("a") + byte % size) for byte in draw(st.binary(max_size=60))]
+        for _ in range(2)
+    )
+    shared = sorted(set(before) & set(after))
+    known = draw(st.sets(st.sampled_from(shared))) if shared else set()
+    return before, after, frozenset(known | draw(st.sets(st.sampled_from("xyz"))))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_pair_and_known())
+def test_verdict_delta_is_canonical_or_sound(case):
+    assert_sound_verdict(*case)
+
+
+def test_verdict_delta_outcomes():
+    small_edit = (list("abcdefgh"), list("abcXefgh"))
+    reversal = (list("abcdefghij"), list("jihgfedcba"))
+    assert assert_sound_verdict(*small_edit, frozenset()) == "diff"
+    assert assert_sound_verdict(*reversal, frozenset("abcdefghij")) == "verdict"
+    assert assert_sound_verdict(*reversal, frozenset("abcdefghi")) == "fallback"
+    delta = verdict_delta(list("abcdefghij") + ["k"], ["n"] + list("jihgfedcba"),
+                          frozenset("abcdefghij"))
+    assert delta.added == ["n"] and delta.added_count == 10

@@ -56,6 +56,15 @@ def test_config_requires_granularity_and_scope():
         AnalysisConfig(source="x", normalize="sideways")
 
 
+def test_config_rejects_repeated_granularities_and_scopes():
+    with pytest.raises(ConfigurationError, match="each granularity may be selected once"):
+        AnalysisConfig(source="x", granularities=("line", "token", "line"))
+    with pytest.raises(ConfigurationError, match="each scope may be selected once"):
+        AnalysisConfig(source="x", scopes=("global", "global"))
+    config = AnalysisConfig(source="x", granularities=("token", "line"), scopes=("local",))
+    assert config.granularities == (Granularity.TOKEN, Granularity.LINE)
+
+
 def test_config_rejects_negative_diff_size_cap():
     with pytest.raises(ConfigurationError, match="diff_size_cap"):
         AnalysisConfig(source="x", diff_size_cap=-1)
@@ -465,6 +474,14 @@ def test_cli_rejects_negative_diff_size_cap(small_bundle):
         main, ["analyze", "--source", str(small_bundle), "--bundle", "--diff-size-cap", "-1"]
     )
     _assert_clean_cli_error(result, "diff_size_cap must be >= 0, got -1")
+
+
+@pytest.mark.parametrize("option", [("--granularity", "line,line"), ("--scope", "global,global")])
+def test_cli_rejects_repeated_selection(small_bundle, option):
+    result = CliRunner().invoke(
+        main, ["analyze", "--source", str(small_bundle), "--bundle", "--format", "csv", *option]
+    )
+    _assert_clean_cli_error(result, "may be selected once")
 
 
 def test_cli_oracle_out_into_missing_directory_is_a_clean_error(small_bundle, tmp_path):
