@@ -62,6 +62,10 @@ from .fragmenter import Granularity
 if TYPE_CHECKING:
     from .history import CommitRecord
 
+# Columns per block of ``bit_lcs_length``. It bounds the memory of the match
+# masks; a shorter side that fits in one block takes a loop without carries.
+LCS_BLOCK_BITS = 8192
+
 
 @dataclass
 class FileDelta:
@@ -240,21 +244,57 @@ def bit_lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     table, and each fragment of the longer side updates it with a few integer
     operations over ``len(shorter)`` bits, done in C. The zero bits of
     ``row`` mark the columns where the row steps up, so they count the LCS.
-    The match masks take at most one ``len(shorter)``-bit int per distinct
-    fragment of the shorter side.
+
+    The match masks take one int per distinct fragment of a block of
+    columns. A shorter side of more than ``LCS_BLOCK_BITS`` fragments is
+    split into blocks of that many columns, run one after another over
+    every row, so that at most one block's masks, about
+    ``LCS_BLOCK_BITS ** 2 / 16`` bytes, are alive at a time. The only
+    state one block passes to the next is the carry out of each row's
+    addition, one bit per row.
     """
     if len(a) > len(b):
         a, b = b, a
-    masks: dict[str, int] = {}
-    for i, fragment in enumerate(a):
-        masks[fragment] = masks.get(fragment, 0) | (1 << i)
-    full = (1 << len(a)) - 1
+    if len(a) <= LCS_BLOCK_BITS:
+        masks = _match_masks(a)
+        full = (1 << len(a)) - 1
+        row = full
+        for match in map(masks.get, b):
+            if match:
+                low = row & match
+                row = ((row + low) | (row - low)) & full
+        return len(a) - row.bit_count()
+    lcs = 0
+    carries = bytes(len(b))
+    for start in range(0, len(a), LCS_BLOCK_BITS):
+        block_lcs, carries = _block_lcs(a[start : start + LCS_BLOCK_BITS], b, carries)
+        lcs += block_lcs
+    return lcs
+
+
+def _block_lcs(block: Sequence[str], b: Sequence[str], carries: bytes) -> tuple[int, bytes]:
+    """The LCS steps that ``block``'s columns contribute, and the carry out
+    of each row, given the carry into each row from the block before."""
+    masks = _match_masks(block)
+    width = len(block)
+    full = (1 << width) - 1
     row = full
-    for match in map(masks.get, b):
-        if match:
-            low = row & match
-            row = ((row + low) | (row - low)) & full
-    return len(a) - row.bit_count()
+    carries_out = bytearray(len(b))
+    for i, (match, carry) in enumerate(zip(map(masks.get, b), carries)):
+        if match or carry:
+            low = row & match if match else 0
+            total = row + low + carry
+            carries_out[i] = total >> width
+            row = (total | (row - low)) & full
+    return width - row.bit_count(), carries_out
+
+
+def _match_masks(columns: Sequence[str]) -> dict[str, int]:
+    """Fragment -> int with bit i set where ``columns[i]`` is that fragment."""
+    masks: dict[str, int] = {}
+    for i, fragment in enumerate(columns):
+        masks[fragment] = masks.get(fragment, 0) | (1 << i)
+    return masks
 
 
 def lcs_length(a: Sequence, b: Sequence) -> int:

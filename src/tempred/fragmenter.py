@@ -10,6 +10,16 @@ regex sub-patterns. They are compiled both into the comment stripper's scan
 and into the lexer's single token pattern, so the two always agree on where
 a comment or a literal begins and ends.
 
+The lexer is one ``findall`` of that pattern, ``\\s*(<alternatives>)``, so
+the per-token loop runs in C. What is left of the per-token work is a few
+list passes, each run only when the text holds the character that calls
+for it: comment tokens are dropped (if ``/`` occurs), literal tokens are
+right-stripped (if a quote occurs), and fallback characters are counted
+(if a statistics object is given and a character outside the known ones
+occurs). At trailing whitespace ``\\s*`` gives its last character back to
+the single-character alternative; ``lex`` drops that token. A possessive
+``\\s*+`` would avoid it but needs Python 3.11, and 3.10 is supported.
+
 Fragment equality is exact, case-sensitive string equality; literals keep
 their actual values.
 """
@@ -17,6 +27,7 @@ their actual values.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,21 +63,30 @@ _LITERAL = r""""(?:[^"\\\r\n]|\\[^\r\n]?)*"?|'(?:[^'\\\r\n]|\\[^\r\n]?)*'?"""
 _COMMENT_OR_LITERAL = re.compile(rf"{_LINE_COMMENT}|(?P<block>{_BLOCK_COMMENT})|{_LITERAL}")
 _NOT_LINE_BREAK = re.compile(r"[^\r\n]+")
 
-# One alternative per token class, in priority order. ``\s`` is exactly
-# ``str.isspace``. Numbers, identifiers and operators are unnamed: their
-# text is the token as is.
+# One alternative per token class, in priority order, after optional
+# whitespace (``\s`` is exactly ``str.isspace``). ``findall`` returns only
+# the group, so a whole text is lexed in C. Comments and literals get their
+# last touches from the passes in ``lex``.
 _TOKEN = re.compile(
-    "|".join((
-        r"(?P<space>\s+)",
-        rf"(?P<comment>{_LINE_COMMENT}|{_BLOCK_COMMENT})",
-        rf"(?P<literal>{_LITERAL})",
+    r"\s*(" + "|".join((
+        _LINE_COMMENT,
+        _BLOCK_COMMENT,
+        _LITERAL,
         r"0[xX][0-9a-fA-F]+[lL]?",
         r"(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?[fFdDlL]?",
         r"[A-Za-z_$][A-Za-z0-9_$]*",
         *map(re.escape, MULTI_CHAR_OPERATORS),
-        r"(?P<char>(?s:.))",
-    ))
+        r"(?s:.)",
+    )) + ")"
 )
+
+# The one-character tokens that are not fallbacks: symbols, one-character
+# identifiers and numbers, and a lone quote (an unterminated literal).
+_PLAIN_CHARS = SINGLE_CHAR_SYMBOLS | frozenset(string.ascii_letters + string.digits + "_$\"'")
+# A character neither plain nor whitespace; a text without one has no fallback.
+_FALLBACK_CHAR = re.compile(rf"[^\s{re.escape(''.join(sorted(_PLAIN_CHARS)))}]")
+_COMMENT_PREFIXES = ("//", "/*")
+_QUOTES = ('"', "'")
 
 
 @dataclass
@@ -124,25 +144,21 @@ def lex(source: str, include_comments: bool = False, stats: LexStats | None = No
     which case each comment becomes one element (used by the
     post-normalization diff mode).
     """
-    tokens: list[str] = []
-    fallbacks = 0
-    for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        if kind == "space" or (kind == "comment" and not include_comments):
-            continue
-        token = m.group()
-        if kind == "literal":
-            # An unterminated literal drops trailing whitespace, so the token
-            # lexes the same whether seen in a file or in a trimmed line.
-            token = token.rstrip()
-        elif kind == "char" and token not in SINGLE_CHAR_SYMBOLS:
-            fallbacks += 1
-        tokens.append(token)
-    if stats is not None:
-        stats.fallback_tokens += fallbacks
+    tokens = _TOKEN.findall(source)
+    if tokens and tokens[-1].isspace():
+        # The last whitespace character of the text (see the module docstring).
+        del tokens[-1]
+    if not include_comments and "/" in source:
+        tokens = [t for t in tokens if not t.startswith(_COMMENT_PREFIXES)]
+    if '"' in source or "'" in source:
+        # An unterminated literal drops trailing whitespace, so the token
+        # lexes the same whether seen in a file or in a trimmed line.
+        tokens = [t.rstrip() if t.startswith(_QUOTES) else t for t in tokens]
+    if stats is not None and _FALLBACK_CHAR.search(source):
+        stats.fallback_tokens += sum(1 for t in tokens if len(t) == 1 and t not in _PLAIN_CHARS)
     return tokens
 
 
 def is_comment_token(token: str) -> bool:
     """True for elements produced by ``lex(..., include_comments=True)`` only."""
-    return token.startswith("//") or token.startswith("/*")
+    return token.startswith(_COMMENT_PREFIXES)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tempred import differ
 from tempred.differ import (
     ChangeSet,
     bit_lcs_length,
@@ -330,6 +331,16 @@ def _pair_for_lcs(draw) -> tuple[list[str], list[str]]:
 @given(_pair_for_lcs())
 def test_bit_lcs_length_matches_dp_oracle(pair):
     assert bit_lcs_length(*pair) == lcs_length(*pair)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_pair_for_lcs())
+def test_blocked_bit_lcs_length_matches_dp_oracle(pair):
+    # With 8-column blocks every shorter side over 8 fragments runs the
+    # carry path, over up to 8 blocks.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(differ, "LCS_BLOCK_BITS", 8)
+        assert bit_lcs_length(*pair) == lcs_length(*pair)
 
 
 def test_bit_lcs_length_examples():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+import sysconfig
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -456,10 +458,37 @@ def test_lex_matches_reference_lexer(src: str):
     assert _lex_both_modes(lex, src) == _lex_both_modes(reference_lex, src)
 
 
+# Each input end, then each kind of trailing whitespace: at end of input the
+# token pattern's leading whitespace gives a character back.
+_INPUT_ENDS = ("x", "x >>=", "x €", 'x "open', "x // note", "x /* open")
+_TRAILING_SPACE = (" ", "\t", "\x0b", "\u2028")
+
+
 def test_lex_matches_reference_lexer_on_synth_versions(synth_versions):
-    edge = "price\x0b= €50; // é\nx >>>= 0x1FL >>> .5e-3f;\ns = \"open \t\n/* open"
-    for text in synth_versions + [JAVA_SAMPLE, edge]:
-        assert _lex_both_modes(lex, text) == _lex_both_modes(reference_lex, text)
+    edge = [
+        "price\x0b= €50; // é\nx >>>= 0x1FL >>> .5e-3f;\ns = \"open \t\n/* open",
+        *(end + space for end in _INPUT_ENDS for space in _TRAILING_SPACE),
+    ]
+    for text in synth_versions + [JAVA_SAMPLE, *edge]:
+        assert _lex_both_modes(lex, text) == _lex_both_modes(reference_lex, text), repr(text)
+
+
+# Real code the lexer was not written against: Python, with ``#`` comments,
+# backslashes, triple quotes and non-ASCII text. Name-sorted, in every
+# supported CPython; about 1 MB.
+_STDLIB_MODULES = (
+    "argparse.py", "ast.py", "calendar.py", "csv.py", "difflib.py",
+    "email/_header_value_parser.py", "encodings/cp1252.py", "html/entities.py",
+    "inspect.py", "locale.py", "pydoc.py", "shlex.py", "string.py",
+    "stringprep.py", "textwrap.py", "tokenize.py", "typing.py",
+)
+
+
+def test_lex_matches_reference_lexer_on_stdlib_modules():
+    stdlib = Path(sysconfig.get_paths()["stdlib"])
+    for name in _STDLIB_MODULES:
+        text = (stdlib / name).read_text(encoding="utf-8")
+        assert _lex_both_modes(lex, text) == _lex_both_modes(reference_lex, text), name
 
 
 def test_determinism():

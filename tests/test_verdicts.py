@@ -229,3 +229,26 @@ def test_whole_file_rewrite_memory_is_bounded():
     assert peak < 8 * 2**20, f"{peak / 2**20:.2f} MiB"
     rewrite = report.classifications[Granularity.TOKEN][1]
     assert rewrite.added_count == len(diff_fragments(before, after).added)
+
+
+def test_reversed_file_lcs_memory_is_bounded():
+    # 20,000 distinct lines, then the same lines reversed: step 2 takes the
+    # pair, and its LCS masks are one per line. As long as the whole shorter
+    # side, they made the peak 32.5 MiB; in blocks of LCS_BLOCK_BITS columns
+    # it is about 11 MiB, and about 8 MiB with blocks of 256.
+    lines = [f"int v{i} = {i};" for i in range(20000)]
+    old, new = "\n".join(lines), "\n".join(reversed(lines))
+    commits = [
+        CommitRecord("c0", 0, 0, [FileChange("A.java", None, old)]),
+        CommitRecord("c1", 1, 1, [FileChange("A.java", old, new)]),
+    ]
+    config = AnalysisConfig(source="reversed", bundle=True, granularities=("line",))
+    tracemalloc.start()
+    try:
+        report = analyze_commits(commits, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.diff_fallbacks == 0
+    assert peak < 16 * 2**20, f"{peak / 2**20:.2f} MiB"
+    assert report.classifications[Granularity.LINE][1].added_count == len(lines) - 1
