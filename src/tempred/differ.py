@@ -63,7 +63,7 @@ if TYPE_CHECKING:
     from .history import CommitRecord
 
 # Columns per block of ``bit_lcs_length``. It bounds the memory of the match
-# masks; a shorter side that fits in one block takes a loop without carries.
+# masks.
 LCS_BLOCK_BITS = 8192
 
 
@@ -242,50 +242,51 @@ def bit_lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     ("Bit-parallel LCS-length computation revisited", 2004). Columns are the
     fragments of the shorter side; one Python int holds a row of the LCS
     table, and each fragment of the longer side updates it with a few integer
-    operations over ``len(shorter)`` bits, done in C. The zero bits of
+    operations over one bit per column, done in C. The zero bits of
     ``row`` mark the columns where the row steps up, so they count the LCS.
 
-    The match masks take one int per distinct fragment of a block of
-    columns. A shorter side of more than ``LCS_BLOCK_BITS`` fragments is
-    split into blocks of that many columns, run one after another over
-    every row, so that at most one block's masks, about
+    The columns are split into blocks of at most ``LCS_BLOCK_BITS``, run one
+    after another over every row, so that the match masks (one int per
+    distinct fragment of the block) of at most one block, about
     ``LCS_BLOCK_BITS ** 2 / 16`` bytes, are alive at a time. The only
-    state one block passes to the next is the carry out of each row's
-    addition, one bit per row.
+    state one block passes to the next is which rows' additions carried
+    out of it. A shorter side that fits in one block takes one pass with no
+    carries.
     """
     if len(a) > len(b):
         a, b = b, a
-    if len(a) <= LCS_BLOCK_BITS:
-        masks = _match_masks(a)
-        full = (1 << len(a)) - 1
-        row = full
-        for match in map(masks.get, b):
-            if match:
-                low = row & match
-                row = ((row + low) | (row - low)) & full
-        return len(a) - row.bit_count()
     lcs = 0
-    carries = bytes(len(b))
+    carry_rows: list[int] = []
     for start in range(0, len(a), LCS_BLOCK_BITS):
-        block_lcs, carries = _block_lcs(a[start : start + LCS_BLOCK_BITS], b, carries)
+        block_lcs, carry_rows = _block_lcs(a[start : start + LCS_BLOCK_BITS], b, carry_rows)
         lcs += block_lcs
     return lcs
 
 
-def _block_lcs(block: Sequence[str], b: Sequence[str], carries: bytes) -> tuple[int, bytes]:
-    """The LCS steps that ``block``'s columns contribute, and the carry out
-    of each row, given the carry into each row from the block before."""
+def _block_lcs(block: Sequence[str], b: Sequence[str], carry_rows: list[int]) -> tuple[int, list[int]]:
+    """The LCS steps that ``block``'s columns contribute, and the rows whose
+    addition carries out of the block, given the rows (ascending) whose
+    addition carried into it from the block before."""
     masks = _match_masks(block)
     width = len(block)
     full = (1 << width) - 1
     row = full
-    carries_out = bytearray(len(b))
-    for i, (match, carry) in enumerate(zip(map(masks.get, b), carries)):
-        if match or carry:
+    carries_out: list[int] = []
+    carries_in = iter(carry_rows)
+    next_carry = next(carries_in, -1)
+    for i, match in enumerate(map(masks.get, b)):
+        if i == next_carry:
+            next_carry = next(carries_in, -1)
             low = row & match if match else 0
-            total = row + low + carry
-            carries_out[i] = total >> width
-            row = (total | (row - low)) & full
+            total = row + low + 1
+        elif match:
+            low = row & match
+            total = row + low
+        else:
+            continue
+        if total > full:
+            carries_out.append(i)
+        row = (total | (row - low)) & full
     return width - row.bit_count(), carries_out
 
 
