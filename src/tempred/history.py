@@ -23,6 +23,7 @@ import logging
 import re
 import subprocess
 import tempfile
+from collections import OrderedDict, deque
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -101,12 +102,20 @@ def glob_to_regex(pattern: str) -> re.Pattern[str]:
     return re.compile("^" + "".join(out) + "$")
 
 
+# Bound on a FileFilterRules path -> verdict memo. The same paths recur in
+# commit after commit, and each miss runs every include and exclude regex.
+FILTER_MEMO_ENTRIES = 1 << 16
+
+
 @dataclass
 class FileFilterRules:
     """A path is retained iff it matches at least one include glob and no exclude glob."""
 
     include_globs: tuple[str, ...] = DEFAULT_INCLUDE_GLOBS
     exclude_globs: tuple[str, ...] = DEFAULT_EXCLUDE_GLOBS
+
+    # path -> verdict, cleared when it reaches FILTER_MEMO_ENTRIES
+    _memo: dict[str, bool] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.include_globs = tuple(self.include_globs)
@@ -115,9 +124,14 @@ class FileFilterRules:
         self._exclude = [glob_to_regex(p) for p in self.exclude_globs]
 
     def matches(self, path: str) -> bool:
-        if not any(rx.match(path) for rx in self._include):
-            return False
-        return not any(rx.match(path) for rx in self._exclude)
+        verdict = self._memo.get(path)
+        if verdict is None:
+            verdict = (any(rx.match(path) for rx in self._include)
+                       and not any(rx.match(path) for rx in self._exclude))
+            if len(self._memo) >= FILTER_MEMO_ENTRIES:
+                self._memo.clear()
+            self._memo[path] = verdict
+        return verdict
 
 
 def filter_files(changes: Iterable[FileChange], rules: FileFilterRules) -> list[FileChange]:
@@ -276,6 +290,17 @@ _LOG_ARGS = (
     "--no-show-signature", "--format=%x01%H %ct %P",
 )
 _READ_CHUNK = 1 << 16
+# At most this many blob requests are written to cat-file and not yet
+# answered. 64 lines of 41 bytes fit in the smallest pipe buffer Linux gives
+# (one 4 KiB page), so writing a request never waits for cat-file, however
+# large the blobs it is still writing back.
+_REQUEST_WINDOW = 64
+# At most this many commits are parsed ahead of the one being yielded, so a
+# long run of commits that need no blobs is not buffered.
+_COMMIT_WINDOW = 64
+# The after-side blobs of this many paths, the most recently written, are
+# kept for the next commit that changes the path.
+_REUSE_PATHS = 1024
 
 # (old_mode, new_mode, old_sha, new_sha, path) of one raw entry, and
 # (sha, committer epoch, parents, raw entries) of one commit.
@@ -342,28 +367,53 @@ class _GitChild:
 
 
 class _BlobReader(_GitChild):
-    """Persistent ``git cat-file --batch`` process for fast blob retrieval."""
+    """Persistent ``git cat-file --batch`` process for fast blob retrieval.
+
+    ``request`` writes many shas with one write and one flush; ``reply``
+    reads the answer to the oldest one not yet answered. Without ``--buffer``
+    cat-file flushes after every object, so each reply can be read as soon as
+    git has produced it. The caller keeps the requests it has not yet read
+    few enough that the lines fit in a pipe buffer: then ``request`` never
+    waits for cat-file, and cat-file, whose output the caller drains, never
+    waits for ``request``.
+    """
 
     def __init__(self, repo: Path) -> None:
         super().__init__(repo, ("cat-file", "--batch"), stdin=subprocess.PIPE)
 
-    def read(self, sha: str) -> bytes:
-        assert self.proc.stdin is not None and self.proc.stdout is not None
+    def request(self, shas: list[str]) -> None:
+        assert self.proc.stdin is not None
         try:
-            self.proc.stdin.write(sha.encode("ascii") + b"\n")
+            self.proc.stdin.write("".join(f"{sha}\n" for sha in shas).encode("ascii"))
             self.proc.stdin.flush()
         except BrokenPipeError:
-            raise self.error(f"exited before blob {sha} was read") from None
+            raise self.error(f"exited before blob {shas[0]} was read") from None
+
+    def reply(self, sha: str) -> bytes | None:
+        """The content of ``sha``, which must be the oldest request not yet
+        answered, or None if git reports it missing."""
+        assert self.proc.stdout is not None
+        name = sha.encode("ascii")
         header = self.proc.stdout.readline().split()
-        if header == [sha.encode("ascii"), b"missing"]:
-            raise self.error(f"blob {sha} is missing from the repository")
-        if len(header) != 3 or header[1] != b"blob" or not header[2].isdigit():
+        if header == [name, b"missing"]:
+            return None
+        if len(header) != 3 or header[:2] != [name, b"blob"] or not header[2].isdigit():
             raise self.error(f"cannot read blob {sha}: {header!r}")
         size = int(header[2])
         data = self.proc.stdout.read(size + 1)  # the content and its trailing newline
         if len(data) != size + 1:
             raise self.error(f"blob {sha} ends early")
         return data[:-1]
+
+    def missing(self, sha: str) -> GitError:
+        return self.error(f"blob {sha} is missing from the repository")
+
+    def read(self, sha: str) -> bytes:
+        self.request([sha])
+        data = self.reply(sha)
+        if data is None:
+            raise self.missing(sha)
+        return data
 
 
 def _parse_log(fields: Iterator[bytes]) -> Iterator[_LogCommit]:
@@ -391,36 +441,126 @@ def _parse_log(fields: Iterator[bytes]) -> Iterator[_LogCommit]:
         yield commit
 
 
-def _file_changes(
-    reader: _BlobReader, sha: str, entries: list[_RawEntry], warn: WarnFn
-) -> list[FileChange]:
-    """The text changes of one commit; submodules, mode-only changes, binary
-    files and changes that vanish after decoding are left out."""
-    changes: list[FileChange] = []
-    for old_mode, new_mode, old_sha, new_sha, fpath in entries:
-        if "160000" in (old_mode, new_mode):
-            continue  # submodule pointer, out of scope
-        before_sha = None if _NULL_SHA.match(old_sha) else old_sha
-        after_sha = None if _NULL_SHA.match(new_sha) else new_sha
-        if before_sha == after_sha:
-            continue  # mode-only change
-        binary = False
-        before = after = None
-        if before_sha is not None:
-            data = reader.read(before_sha)
-            binary = b"\0" in data
-            before = data.decode("utf-8", "replace")
-        if after_sha is not None and not binary:
-            data = reader.read(after_sha)
-            binary = b"\0" in data
-            after = data.decode("utf-8", "replace")
-        if binary:
-            warn(f"skipping binary file {fpath} in commit {sha}")
-            continue
-        if before == after:
-            continue  # no-op after decoding
-        changes.append(FileChange(path=fpath, before=before, after=after))
-    return changes
+class _Blob:
+    """A blob that planned commits need. Once cat-file has answered,
+    ``answered`` is set and ``text`` is the decoded content, or None if the
+    blob is binary or, as ``missing`` then says, absent from the repository."""
+
+    __slots__ = ("sha", "answered", "missing", "text")
+
+    def __init__(self, sha: str) -> None:
+        self.sha = sha
+        self.answered = False
+        self.missing = False
+        self.text: str | None = None
+
+    def answer(self, data: bytes | None) -> None:
+        self.answered = True
+        if data is None:
+            self.missing = True
+        elif b"\0" not in data:
+            self.text = data.decode("utf-8", "replace")
+
+
+# (path, before blob, after blob) of one planned file change.
+_PlannedEntry = tuple[str, "_Blob | None", "_Blob | None"]
+
+
+class _BlobPlan:
+    """The blobs of the commits parsed ahead, requested in order through one
+    ``_BlobReader`` with at most ``_REQUEST_WINDOW`` of them unanswered.
+
+    A file's before-side is nearly always the after-side that the previous
+    first-parent commit wrote for the same path. So ``last`` keeps the
+    after-side blob of the ``_REUSE_PATHS`` paths written most recently, and
+    a before-side with the same sha takes that blob instead of reading it
+    again. A planned commit holds its own blobs, so dropping a path from
+    ``last`` never loses what it still needs. After a skipped merge or a
+    commit outside the time window changed the path, the before-side's sha
+    is not the one kept, and the blob is read.
+    """
+
+    def __init__(self, reader: _BlobReader) -> None:
+        self.reader = reader
+        self.unsent: deque[_Blob] = deque()
+        self.in_flight: deque[_Blob] = deque()
+        self.last: OrderedDict[str, _Blob] = OrderedDict()
+
+    def has_room(self) -> bool:
+        return len(self.in_flight) < _REQUEST_WINDOW
+
+    def plan(self, entries: list[_RawEntry]) -> list[_PlannedEntry]:
+        """The blobs of one commit's changes, requested as far as the window
+        allows; submodules and mode-only changes are left out."""
+        planned: list[_PlannedEntry] = []
+        for old_mode, new_mode, old_sha, new_sha, path in entries:
+            if "160000" in (old_mode, new_mode):
+                continue  # submodule pointer, out of scope
+            before_sha = None if _NULL_SHA.match(old_sha) else old_sha
+            after_sha = None if _NULL_SHA.match(new_sha) else new_sha
+            if before_sha == after_sha:
+                continue  # mode-only change
+            before = after = None
+            if before_sha is not None:
+                before = self.last.get(path)
+                if before is None or before.sha != before_sha:
+                    before = self._want(before_sha)
+            if after_sha is None:
+                self.last.pop(path, None)
+            else:
+                after = self.last[path] = self._want(after_sha)
+                self.last.move_to_end(path)
+                if len(self.last) > _REUSE_PATHS:
+                    self.last.popitem(last=False)
+            planned.append((path, before, after))
+        self._send()
+        return planned
+
+    def _want(self, sha: str) -> _Blob:
+        blob = _Blob(sha)
+        self.unsent.append(blob)
+        return blob
+
+    def _send(self) -> None:
+        n = min(len(self.unsent), _REQUEST_WINDOW - len(self.in_flight))
+        if n > 0:
+            batch = [self.unsent.popleft() for _ in range(n)]
+            self.reader.request([blob.sha for blob in batch])
+            self.in_flight.extend(batch)
+
+    def _text(self, blob: _Blob) -> str | None:
+        """The blob's text, or None if it is binary, once the replies up to its
+        own are read. Raises ``GitError`` if git reports it missing."""
+        while not blob.answered:
+            if not self.in_flight:
+                self._send()
+            head = self.in_flight.popleft()
+            head.answer(self.reader.reply(head.sha))
+        if blob.missing:
+            raise self.reader.missing(blob.sha)
+        return blob.text
+
+    def changes(self, sha: str, planned: list[_PlannedEntry], warn: WarnFn) -> list[FileChange]:
+        """The text changes of one planned commit; binary files and changes
+        that vanish after decoding are left out. The after-side of a file whose
+        before-side is binary is not needed, so its absence is no error."""
+        changes: list[FileChange] = []
+        for fpath, before_blob, after_blob in planned:
+            binary = False
+            before = after = None
+            if before_blob is not None:
+                before = self._text(before_blob)
+                binary = before is None
+            if after_blob is not None and not binary:
+                after = self._text(after_blob)
+                binary = after is None
+            if binary:
+                warn(f"skipping binary file {fpath} in commit {sha}")
+                continue
+            if before == after:
+                continue  # no-op after decoding
+            changes.append(FileChange(path=fpath, before=before, after=after))
+        return changes
 
 
 def open_repository(
@@ -442,7 +582,14 @@ def open_repository(
     about, because its boundary commits read as roots. The history itself
     comes from one ``git log`` process, started on the first ``next()``,
     and file contents from one ``git cat-file --batch``. Closing the stream
-    early stops both. Git failures raise ``GitError``.
+    early stops both. Git failures raise ``GitError``, at the commit where
+    reading one blob at a time would meet them.
+
+    The log is parsed up to ``_COMMIT_WINDOW`` commits ahead, and their blobs
+    are requested up to ``_REQUEST_WINDOW`` ahead of the replies read, so
+    cat-file works while the caller processes a commit. A before-side blob
+    that the previous commit wrote for the same path is taken from that
+    commit instead of read again (``_BlobPlan``).
     """
     warn = on_warning or log.warning
     repo = Path(path)
@@ -461,16 +608,37 @@ def open_repository(
     def _iter() -> Iterator[CommitRecord]:
         with closing(_GitChild(repo, (*_LOG_ARGS, branch, "--"))) as stream, \
                 closing(_BlobReader(repo)) as reader:
+            # Merge commits, with their diff against the first parent, are skipped.
+            kept = ((sha, ts, entries) for sha, ts, parents, entries in _parse_log(stream.fields())
+                    if len(parents) < 2 and (since is None or ts >= since)
+                    and (until is None or ts <= until))
+            plan = _BlobPlan(reader)
+            pending: deque[tuple[str, int, list[_PlannedEntry]]] = deque()
+            failure: GitError | None = None
             order_index = 0
-            for sha, ts, parents, entries in _parse_log(stream.fields()):
-                if len(parents) >= 2:
-                    continue  # merge commit, with its diff against the first parent
-                if (since is not None and ts < since) or (until is not None and ts > until):
-                    continue
+            while True:
+                # Parse the next commit, and more while cat-file has room for
+                # requests. A log failure is raised after the commits parsed
+                # before it.
+                while failure is None and (not pending or (
+                        len(pending) < _COMMIT_WINDOW and plan.has_room())):
+                    try:
+                        sha, ts, entries = next(kept)
+                    except StopIteration:
+                        break
+                    except GitError as exc:
+                        failure = exc
+                        break
+                    pending.append((sha, ts, plan.plan(entries)))
+                if not pending:
+                    break
+                sha, ts, planned = pending.popleft()
                 yield CommitRecord(
                     commit_id=sha, order_index=order_index, timestamp=ts,
-                    file_changes=_file_changes(reader, sha, entries, warn),
+                    file_changes=plan.changes(sha, planned, warn),
                 )
                 order_index += 1
+            if failure is not None:
+                raise failure
 
     return _iter()

@@ -1,18 +1,21 @@
 """The one-stream git reader against the per-commit ``git diff-tree`` reader it
-replaced, plus its failure, shallow-clone and early-close behaviour."""
+replaced, plus its request window, blob reuse, failure, shallow-clone and
+early-close behaviour."""
 
 from __future__ import annotations
 
 import os
 import re
+import signal
 import subprocess
 import sys
-from contextlib import closing
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import pytest
 
 import tempred
+from tempred import history
 from tempred.errors import GitError
 from tempred.history import (
     CommitRecord,
@@ -201,12 +204,101 @@ def test_early_close_kills_and_reaps_git(tricky_repo, monkeypatch):
     assert all(p.returncode is not None for p in spawned), "a git child is left running"
 
 
+def test_full_drain_spawns_four_git_processes(tricky_repo, monkeypatch):
+    spawned = _recorded_popens(monkeypatch)
+    list(open_repository(tricky_repo.path, "main"))
+    assert len(spawned) == 4
+    assert [p.args[3] for p in spawned[:2]] == ["rev-parse", "rev-parse"]
+    assert "log" in spawned[2].args and "cat-file" in spawned[3].args
+
+
 def test_git_log_starts_on_first_read(tricky_repo, monkeypatch):
     spawned = _recorded_popens(monkeypatch)
     stream = open_repository(tricky_repo.path, "main")
     assert [p.args[3] for p in spawned] == ["rev-parse", "rev-parse"]
     stream.close()
     assert len(spawned) == 2
+
+
+# ---------------------------------------------------------------------------
+# Request window and blob reuse
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Raise ``TimeoutError`` in the block after ``seconds``, so that a reader
+    stuck on a full pipe fails the test instead of hanging it."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("window", [1, 2])
+def test_request_window_smaller_than_a_commit(git_repo, monkeypatch, window):
+    # 200 blobs of over 4 KiB: the replies to one commit outgrow a 64 KiB pipe.
+    bodies = {f"src/F{i:03}.java": f"int f{i} = 0;\n" + "// padding\n" * 400 for i in range(200)}
+    git_repo.commit(bodies)
+    git_repo.commit({path: body + "int more;\n" for path, body in list(bodies.items())[::2]})
+    monkeypatch.setattr(history, "_REQUEST_WINDOW", window)
+    with _deadline(60):
+        got = list(open_repository(git_repo.path, "main"))
+    assert got == diff_tree_reference(git_repo.path, "main")
+    assert [len(c.file_changes) for c in got] == [200, 100]
+
+
+def test_blob_reuse_follows_the_sha_not_the_path(git_repo):
+    """Each case leaves a path whose last after-side read is not the next
+    before-side, or no after-side at all."""
+    r = git_repo
+    ts = iter(range(T0, T0 + 60 * 100, 60))
+    base = r.commit({"A.java": "int a = 1;\n", "B.java": "int b = 1;\n",
+                     "C.java": "int c = 1;\n"}, timestamp=next(ts))
+    r.branch_from("side", base)
+    r.commit({"A.java": "int a = 2;\n"}, timestamp=next(ts))  # reaches main by a merge
+    r.checkout("main")
+    r.commit({"B.java": "int b = 2;\n"}, timestamp=next(ts))
+    r.merge("side")
+    r.commit({"A.java": "int a = 3;\n"}, timestamp=next(ts))
+    r.commit({"C.java": None}, timestamp=next(ts))
+    r.commit({"C.java": "int c = 2;\n"}, timestamp=next(ts))  # re-added, new content
+    r.commit({"C.java": "int c = 3;\n"}, timestamp=next(ts))
+    r.commit({"B.java": "int b = 3;\n"}, timestamp=T0 - 60)  # before `since` below
+    r.commit({"B.java": "int b = 4;\n"}, timestamp=next(ts))
+    before_of = {}
+    for since in [None, T0]:
+        got = list(open_repository(r.path, "main", since=since))
+        assert got == diff_tree_reference(r.path, "main", since=since)
+        before_of[since] = {fc.after: fc.before for c in got for fc in c.file_changes}
+    assert before_of[None]["int a = 3;\n"] == "int a = 2;\n"
+    assert before_of[None]["int c = 2;\n"] is None
+    assert before_of[T0]["int b = 4;\n"] == "int b = 3;\n"  # the skipped commit's
+    assert "int b = 3;\n" not in before_of[T0]
+
+
+def test_each_edit_reads_only_its_new_blob(git_repo, monkeypatch):
+    k = 6
+    for i in range(k + 1):
+        git_repo.commit({"A.java": f"int a = {i};\n"})
+    expected = diff_tree_reference(git_repo.path, "main")
+    requested: list[str] = []
+    request = _BlobReader.request
+
+    def spy(self, shas):
+        requested.extend(shas)
+        return request(self, shas)
+
+    monkeypatch.setattr(_BlobReader, "request", spy)
+    assert list(open_repository(git_repo.path, "main")) == expected
+    assert len(requested) == k + 1  # not 1 + 2k: each before-side is the last after-side
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +340,45 @@ def test_missing_blob_raises_git_error(git_repo):
         list(open_repository(git_repo.path, "main"))
 
 
+def test_missing_after_side_of_binary_file_is_not_read(git_repo):
+    git_repo.commit_binary("B.java", b"int b;\0\n")
+    git_repo.commit({"B.java": "int b = 2;\n", "A.java": "int a = 1;\n"})
+    _object_file(git_repo, "HEAD:B.java").unlink()
+    warnings: list[str] = []
+    got = list(open_repository(git_repo.path, "main", on_warning=warnings.append))
+    assert warnings == [f"skipping binary file B.java in commit {c.commit_id}" for c in got]
+    assert [[fc.path for fc in c.file_changes] for c in got] == [[], ["A.java"]]
+
+
+def test_reply_naming_another_sha_raises_git_error(git_repo):
+    git_repo.commit({"A.java": "int a = 1;\n", "B.java": "int b = 1;\n"})
+    a, b = (git_repo._run("rev-parse", f"HEAD:{name}").strip() for name in ("A.java", "B.java"))
+    with closing(_BlobReader(git_repo.path)) as reader:
+        reader.request([a])
+        with pytest.raises(GitError, match=f"cannot read blob {b}"):
+            reader.reply(b)
+
+
 def test_missing_tree_raises_git_error(git_repo):
     git_repo.commit({"A.java": "int a = 1;\n"})
     git_repo.commit({"A.java": "int a = 2;\n"})
     _object_file(git_repo, "HEAD^{tree}").unlink()
     with pytest.raises(GitError, match="exited with status"):
         list(open_repository(git_repo.path, "main"))
+
+
+def test_log_failure_comes_after_the_commits_parsed_before_it(git_repo):
+    for i in range(5):
+        git_repo.commit({"A.java": f"int a = {i};\n"})
+    _object_file(git_repo, "HEAD~1^{tree}").unlink()
+    log = git_repo._run("log", "--reverse", "--format=%H").split()
+    got: list[str] = []
+    with pytest.raises(GitError, match="exited with status"):
+        for commit in open_repository(git_repo.path, "main"):
+            got.append(commit.commit_id)
+    # git has written the first three commits when it fails on the fourth; the
+    # third is still open in the log parser.
+    assert got == log[:2]
 
 
 @pytest.mark.parametrize("fields", [

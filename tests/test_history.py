@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from tempred import history
 from tempred.errors import BranchNotFoundError, BundleFormatError, RepositoryNotFoundError
 from tempred.history import (
     FileChange,
@@ -116,6 +117,22 @@ def test_retained_set_matches_reference_implementation():
         and not any(reference_glob_match(p, fc.path) for p in rules.exclude_globs)
     ]
     assert [fc.path for fc in filter_files(changes, rules)] == expected
+
+
+def test_filter_memo_agrees_with_the_rules_and_stays_out_of_eq_and_repr(monkeypatch):
+    monkeypatch.setattr(history, "FILTER_MEMO_ENTRIES", 5)
+    rng = random.Random(11)
+    segments = ["src", "test", "main", "Foo.java", "BazTest.java", "doc.md"]
+    paths = ["/".join(rng.choices(segments, k=rng.randint(1, 3))) for _ in range(60)]
+    rules = FileFilterRules()
+    # Each path twice in a row, so the second is a memo hit; the memo, bounded
+    # to five paths here, is cleared many times over.
+    for path in [p for p in paths for _ in range(2)]:
+        expected = (any(reference_glob_match(p, path) for p in rules.include_globs)
+                    and not any(reference_glob_match(p, path) for p in rules.exclude_globs))
+        assert rules.matches(path) == expected, path
+        assert len(rules._memo) <= 5
+    assert rules == FileFilterRules() and repr(rules) == repr(FileFilterRules())
 
 
 # ---------------------------------------------------------------------------
