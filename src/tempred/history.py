@@ -23,9 +23,10 @@ import logging
 import re
 import subprocess
 import tempfile
-from collections import OrderedDict, deque
+from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -102,9 +103,14 @@ def glob_to_regex(pattern: str) -> re.Pattern[str]:
     return re.compile("^" + "".join(out) + "$")
 
 
-# Bound on a FileFilterRules path -> verdict memo. The same paths recur in
+# Bound on a FileFilterRules path -> verdict LRU. The same paths recur in
 # commit after commit, and each miss runs every include and exclude regex.
 FILTER_MEMO_ENTRIES = 1 << 16
+
+
+def _path_verdict(include: list[re.Pattern[str]], exclude: list[re.Pattern[str]],
+                  path: str) -> bool:
+    return any(rx.match(path) for rx in include) and not any(rx.match(path) for rx in exclude)
 
 
 @dataclass
@@ -114,24 +120,19 @@ class FileFilterRules:
     include_globs: tuple[str, ...] = DEFAULT_INCLUDE_GLOBS
     exclude_globs: tuple[str, ...] = DEFAULT_EXCLUDE_GLOBS
 
-    # path -> verdict, cleared when it reaches FILTER_MEMO_ENTRIES
-    _memo: dict[str, bool] = field(default_factory=dict, init=False, compare=False, repr=False)
-
     def __post_init__(self) -> None:
         self.include_globs = tuple(self.include_globs)
         self.exclude_globs = tuple(self.exclude_globs)
-        self._include = [glob_to_regex(p) for p in self.include_globs]
-        self._exclude = [glob_to_regex(p) for p in self.exclude_globs]
+        # path -> verdict. The cache wraps a module-level function, not a
+        # method, so it holds no reference back to the rules.
+        self._verdict = lru_cache(FILTER_MEMO_ENTRIES)(partial(
+            _path_verdict,
+            [glob_to_regex(p) for p in self.include_globs],
+            [glob_to_regex(p) for p in self.exclude_globs],
+        ))
 
     def matches(self, path: str) -> bool:
-        verdict = self._memo.get(path)
-        if verdict is None:
-            verdict = (any(rx.match(path) for rx in self._include)
-                       and not any(rx.match(path) for rx in self._exclude))
-            if len(self._memo) >= FILTER_MEMO_ENTRIES:
-                self._memo.clear()
-            self._memo[path] = verdict
-        return verdict
+        return self._verdict(path)
 
 
 def filter_files(changes: Iterable[FileChange], rules: FileFilterRules) -> list[FileChange]:
@@ -298,27 +299,14 @@ _REQUEST_WINDOW = 64
 # At most this many commits are parsed ahead of the one being yielded, so a
 # long run of commits that need no blobs is not buffered.
 _COMMIT_WINDOW = 64
-# The after-side blobs of this many paths, the most recently written, are
-# kept for the next commit that changes the path.
-_REUSE_PATHS = 1024
+# The blobs of this many shas, the most recently named, are kept for the
+# next file side that names the same sha.
+_REUSE_BLOBS = 1024
 
 # (old_mode, new_mode, old_sha, new_sha, path) of one raw entry, and
 # (sha, committer epoch, parents, raw entries) of one commit.
 _RawEntry = tuple[str, str, str, str, str]
 _LogCommit = tuple[str, int, list[str], list[_RawEntry]]
-
-
-def _git(repo: Path, *args: str) -> bytes:
-    proc = subprocess.run(
-        ["git", "-C", str(repo), *args],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
-    if proc.returncode != 0:
-        raise GitError(
-            f"git {' '.join(args)} failed: {proc.stderr.decode('utf-8', 'replace').strip()}"
-        )
-    return proc.stdout
 
 
 class _GitChild:
@@ -408,13 +396,6 @@ class _BlobReader(_GitChild):
     def missing(self, sha: str) -> GitError:
         return self.error(f"blob {sha} is missing from the repository")
 
-    def read(self, sha: str) -> bytes:
-        self.request([sha])
-        data = self.reply(sha)
-        if data is None:
-            raise self.missing(sha)
-        return data
-
 
 def _parse_log(fields: Iterator[bytes]) -> Iterator[_LogCommit]:
     """Group the log stream's fields into commits. The path field after a raw
@@ -466,25 +447,32 @@ class _Blob:
 _PlannedEntry = tuple[str, "_Blob | None", "_Blob | None"]
 
 
+def _queue_blob(unsent: deque[_Blob], sha: str) -> _Blob:
+    blob = _Blob(sha)
+    unsent.append(blob)
+    return blob
+
+
 class _BlobPlan:
     """The blobs of the commits parsed ahead, requested in order through one
     ``_BlobReader`` with at most ``_REQUEST_WINDOW`` of them unanswered.
 
-    A file's before-side is nearly always the after-side that the previous
-    first-parent commit wrote for the same path. So ``last`` keeps the
-    after-side blob of the ``_REUSE_PATHS`` paths written most recently, and
-    a before-side with the same sha takes that blob instead of reading it
-    again. A planned commit holds its own blobs, so dropping a path from
-    ``last`` never loses what it still needs. After a skipped merge or a
-    commit outside the time window changed the path, the before-side's sha
-    is not the one kept, and the blob is read.
+    Git blobs are named by their content, and a file's before-side is nearly
+    always the after-side that the previous first-parent commit wrote for
+    the same path. So ``blob`` is an LRU of the ``_REUSE_BLOBS`` shas named
+    most recently: a side whose sha is kept takes that blob, decoded text
+    included, and only a miss queues a read. A revert or a copy is reused
+    like an edit. A planned commit holds its own blobs, so dropping a sha
+    from the LRU never loses what it still needs.
     """
 
     def __init__(self, reader: _BlobReader) -> None:
         self.reader = reader
         self.unsent: deque[_Blob] = deque()
         self.in_flight: deque[_Blob] = deque()
-        self.last: OrderedDict[str, _Blob] = OrderedDict()
+        # The cache wraps a module-level function, not a method, so it holds
+        # no reference back to the plan.
+        self.blob = lru_cache(_REUSE_BLOBS)(partial(_queue_blob, self.unsent))
 
     def has_room(self) -> bool:
         return len(self.in_flight) < _REQUEST_WINDOW
@@ -500,26 +488,11 @@ class _BlobPlan:
             after_sha = None if _NULL_SHA.match(new_sha) else new_sha
             if before_sha == after_sha:
                 continue  # mode-only change
-            before = after = None
-            if before_sha is not None:
-                before = self.last.get(path)
-                if before is None or before.sha != before_sha:
-                    before = self._want(before_sha)
-            if after_sha is None:
-                self.last.pop(path, None)
-            else:
-                after = self.last[path] = self._want(after_sha)
-                self.last.move_to_end(path)
-                if len(self.last) > _REUSE_PATHS:
-                    self.last.popitem(last=False)
+            before = None if before_sha is None else self.blob(before_sha)
+            after = None if after_sha is None else self.blob(after_sha)
             planned.append((path, before, after))
         self._send()
         return planned
-
-    def _want(self, sha: str) -> _Blob:
-        blob = _Blob(sha)
-        self.unsent.append(blob)
-        return blob
 
     def _send(self) -> None:
         n = min(len(self.unsent), _REQUEST_WINDOW - len(self.in_flight))
@@ -578,30 +551,39 @@ def open_repository(
     warning; text is decoded as UTF-8 with lossy replacement. ``since``/
     ``until`` bound the committer timestamp (inclusive).
 
-    The repository and branch are checked at once; a shallow clone is warned
-    about, because its boundary commits read as roots. The history itself
-    comes from one ``git log`` process, started on the first ``next()``,
-    and file contents from one ``git cat-file --batch``. Closing the stream
+    The repository and branch are checked at once, by one ``git
+    rev-parse``; a shallow clone is warned about, because its boundary
+    commits read as roots. The history itself comes from one ``git log``
+    process, started on the first ``next()``, and file contents from one
+    ``git cat-file --batch``: three git processes in all. Closing the stream
     early stops both. Git failures raise ``GitError``, at the commit where
     reading one blob at a time would meet them.
 
     The log is parsed up to ``_COMMIT_WINDOW`` commits ahead, and their blobs
     are requested up to ``_REQUEST_WINDOW`` ahead of the replies read, so
-    cat-file works while the caller processes a commit. A before-side blob
-    that the previous commit wrote for the same path is taken from that
-    commit instead of read again (``_BlobPlan``).
+    cat-file works while the caller processes a commit. A blob whose sha a
+    recent side named, nearly always the previous commit's after-side of
+    the same path, is taken from that side instead of read again
+    (``_BlobPlan``).
     """
     warn = on_warning or log.warning
     repo = Path(path)
+    # Exit status 1 means the repository has no such commit; any other
+    # failure means there is no repository.
     try:
-        shallow = _git(repo, "rev-parse", "--git-dir", "--is-shallow-repository")
-    except (GitError, OSError) as exc:
+        proc = subprocess.run(
+            ["git", "-C", str(repo), "rev-parse", "--is-shallow-repository",
+             "--verify", "--quiet", f"{branch}^{{commit}}"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+    except OSError as exc:
         raise RepositoryNotFoundError(f"not a git repository: {repo} ({exc})") from exc
-    try:
-        _git(repo, "rev-parse", "--verify", "--quiet", f"{branch}^{{commit}}")
-    except GitError as exc:
-        raise BranchNotFoundError(f"branch not found in {repo}: {branch}") from exc
-    if shallow.splitlines()[-1] == b"true":
+    if proc.returncode == 1:
+        raise BranchNotFoundError(f"branch not found in {repo}: {branch}")
+    if proc.returncode != 0:
+        detail = proc.stderr.decode("utf-8", "replace").strip()
+        raise RepositoryNotFoundError(f"not a git repository: {repo} ({detail})")
+    if proc.stdout.splitlines()[0] == b"true":
         warn(f"{repo} is a shallow clone: the history is cut at its shallow boundary, "
              "and each boundary commit is read as a root, with all its files added")
 

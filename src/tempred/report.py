@@ -13,10 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .differ import ChangeSet, FileDelta, diff_fragments, verdict_delta
 from .errors import ConfigurationError
@@ -78,8 +78,17 @@ class AnalysisConfig:
     project: str | None = None
 
     def __post_init__(self) -> None:
-        self.granularities = tuple(Granularity(g) for g in self.granularities)
-        self.scopes = tuple(Scope(s) for s in self.scopes)
+        try:
+            self.granularities = tuple(Granularity(g) for g in self.granularities)
+            self.scopes = tuple(Scope(s) for s in self.scopes)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
+        for name in ("since", "until", "diff_size_cap"):
+            value = getattr(self, name)
+            if value is None and name != "diff_size_cap":
+                continue  # an open time bound
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         self.include_globs = tuple(self.include_globs)
         self.exclude_globs = tuple(self.exclude_globs)
         if not self.granularities:
@@ -119,14 +128,14 @@ class AnalysisConfig:
         }
 
 
-# Bound on the text -> fragments cache. Consecutive commits mostly re-see
+# Bound on the text -> fragments LRU. Consecutive commits mostly re-see
 # the previous commit's file contents, so a small LRU avoids re-fragmenting
 # nearly everything.
 FRAGMENT_CACHE_ENTRIES = 1024
 
-# Bound on the normalized line -> tokens memo, which is cleared when full.
-# A 3000-commit, 40-file synthetic history has under 5k distinct lines; at a
-# few hundred bytes an entry, a full memo stays within tens of MB.
+# Bound on the normalized line -> tokens LRU. A 3000-commit, 40-file
+# synthetic history has under 5k distinct lines; at a few hundred bytes an
+# entry, a full LRU stays within tens of MB.
 LINE_MEMO_ENTRIES = 1 << 16
 
 # A file version's line fragments and token fragments, each empty when that
@@ -149,73 +158,65 @@ def post_filter_delta(delta: FileDelta) -> None:
         delta.removed = [f for f in delta.removed if not is_comment_token(f)]
 
 
+def _lex_line(line: str) -> tuple[tuple[str, ...], int]:
+    """A normalized line's tokens and fallback count."""
+    stats = LexStats()
+    return tuple(lex(line, stats=stats)), stats.fallback_tokens
+
+
+def _fragment(granularities: tuple[Granularity, ...], normalize: str, lex_stats: LexStats,
+              line_tokens: Callable[[str], tuple[tuple[str, ...], int]],
+              text: str) -> _Fragments:
+    want_lines = Granularity.LINE in granularities
+    want_tokens = Granularity.TOKEN in granularities
+    if normalize == POST:
+        return ((tuple(split_raw_lines(text)) if want_lines else ()),
+                tuple(lex(text, include_comments=True, stats=lex_stats)) if want_tokens else ())
+    normalized = fragment_lines(text)
+    tokens: list[str] = []
+    if want_tokens:
+        fallback = 0
+        for line_toks, line_fallback in map(line_tokens, normalized):
+            tokens += line_toks
+            fallback += line_fallback
+        lex_stats.fallback_tokens += fallback
+    return (tuple(normalized) if want_lines else ()), tuple(tokens)
+
+
 @dataclass
 class _PipelineState:
     """What one run carries from commit to commit.
 
-    ``texts`` is a bounded LRU of file text -> (lines, tokens). In
-    ``pre`` mode, tokens never cross a normalized line: lexing a file gives
-    the same tokens, and the same fallback count, as lexing each of its
+    ``texts`` is an LRU of file text -> (lines, tokens). In ``pre`` mode,
+    tokens never cross a normalized line: lexing a file gives the same
+    tokens, and the same fallback count, as lexing each of its
     ``fragment_lines`` in turn. So a text's tokens are assembled from
-    ``line_tokens``, a memo of line -> (tokens, fallback count) shared across
-    files and commits, since most lines survive from one version to the
-    next. ``post`` mode keeps comment tokens, which can span lines, so it
-    lexes whole files. Fallback counts reach ``lex_stats`` once per text
-    cache miss.
+    ``line_tokens``, an LRU of line -> (tokens, fallback count) shared
+    across files and commits, since most lines survive from one version to
+    the next. ``post`` mode keeps comment tokens, which can span lines, so
+    it lexes whole files. Fallback counts reach ``lex_stats`` once per text
+    cache miss, so the text LRU's evictions are part of the output. Both
+    caches wrap module-level functions, not methods, so they hold no
+    reference back to the state.
     """
 
     granularities: tuple[Granularity, ...]
     normalize: str
     rules: FileFilterRules
     lex_stats: LexStats = field(default_factory=LexStats)
-    texts: OrderedDict[str, _Fragments] = field(default_factory=OrderedDict)
-    line_tokens: dict[str, tuple[tuple[str, ...], int]] = field(default_factory=dict)
     skipped_oversize: list[dict] = field(default_factory=list)
     # File pairs for which ``verdict_delta`` gave no delta and the full
     # differ ran.
     diff_fallbacks: int = 0
 
+    def __post_init__(self) -> None:
+        self.line_tokens = lru_cache(LINE_MEMO_ENTRIES)(_lex_line)
+        self.texts = lru_cache(FRAGMENT_CACHE_ENTRIES)(partial(
+            _fragment, self.granularities, self.normalize, self.lex_stats, self.line_tokens))
+
     def fragments(self, text: str | None) -> _Fragments:
-        if text is None:
-            return (), ()
-        cached = self.texts.get(text)
-        if cached is not None:
-            self.texts.move_to_end(text)
-            return cached
-        value = self._fragment(text)
-        self.texts[text] = value
-        if len(self.texts) > FRAGMENT_CACHE_ENTRIES:
-            self.texts.popitem(last=False)
-        return value
-
-    def _fragment(self, text: str) -> _Fragments:
-        want_lines = Granularity.LINE in self.granularities
-        want_tokens = Granularity.TOKEN in self.granularities
-        if self.normalize == POST:
-            lines = tuple(split_raw_lines(text)) if want_lines else ()
-            tokens = (tuple(lex(text, include_comments=True, stats=self.lex_stats))
-                      if want_tokens else ())
-            return lines, tokens
-        normalized = fragment_lines(text)
-        tokens = self._line_derived_tokens(normalized) if want_tokens else ()
-        return (tuple(normalized) if want_lines else ()), tokens
-
-    def _line_derived_tokens(self, lines: list[str]) -> tuple[str, ...]:
-        memo = self.line_tokens
-        tokens: list[str] = []
-        fallback = 0
-        for line in lines:
-            entry = memo.get(line)
-            if entry is None:
-                stats = LexStats()
-                entry = (tuple(lex(line, stats=stats)), stats.fallback_tokens)
-                if len(memo) >= LINE_MEMO_ENTRIES:
-                    memo.clear()
-                memo[line] = entry
-            tokens += entry[0]
-            fallback += entry[1]
-        self.lex_stats.fallback_tokens += fallback
-        return tuple(tokens)
+        # An absent side is kept out of the LRU, where it would take a slot.
+        return ((), ()) if text is None else self.texts(text)
 
 
 def _make_state(config: AnalysisConfig) -> _PipelineState:

@@ -21,7 +21,6 @@ from tempred.history import (
     CommitRecord,
     FileChange,
     _BlobReader,
-    _git,
     _parse_log,
     open_repository,
 )
@@ -31,6 +30,27 @@ from tempred.history import (
 # ---------------------------------------------------------------------------
 
 _NULL_SHA = re.compile(r"^0+$")
+
+
+def _git(repo: Path, *args: str) -> bytes:
+    proc = subprocess.run(
+        ["git", "-C", str(repo), *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    if proc.returncode != 0:
+        raise GitError(
+            f"git {' '.join(args)} failed: {proc.stderr.decode('utf-8', 'replace').strip()}"
+        )
+    return proc.stdout
+
+
+def _read(reader: _BlobReader, sha: str) -> bytes:
+    reader.request([sha])
+    data = reader.reply(sha)
+    if data is None:
+        raise reader.missing(sha)
+    return data
 
 
 def _parse_diff_tree(raw: bytes) -> list[tuple[str, str, str, str, str, str]]:
@@ -86,11 +106,11 @@ def diff_tree_reference(repo: Path, branch: str = "HEAD", since: int | None = No
                 binary = False
                 before = after = None
                 if before_sha is not None:
-                    data = reader.read(before_sha)
+                    data = _read(reader, before_sha)
                     binary = b"\0" in data
                     before = data.decode("utf-8", "replace")
                 if after_sha is not None and not binary:
-                    data = reader.read(after_sha)
+                    data = _read(reader, after_sha)
                     binary = b"\0" in data
                     after = data.decode("utf-8", "replace")
                 if binary:
@@ -204,20 +224,20 @@ def test_early_close_kills_and_reaps_git(tricky_repo, monkeypatch):
     assert all(p.returncode is not None for p in spawned), "a git child is left running"
 
 
-def test_full_drain_spawns_four_git_processes(tricky_repo, monkeypatch):
+def test_full_drain_spawns_three_git_processes(tricky_repo, monkeypatch):
     spawned = _recorded_popens(monkeypatch)
     list(open_repository(tricky_repo.path, "main"))
-    assert len(spawned) == 4
-    assert [p.args[3] for p in spawned[:2]] == ["rev-parse", "rev-parse"]
-    assert "log" in spawned[2].args and "cat-file" in spawned[3].args
+    assert len(spawned) == 3
+    assert spawned[0].args[3] == "rev-parse"
+    assert "log" in spawned[1].args and "cat-file" in spawned[2].args
 
 
 def test_git_log_starts_on_first_read(tricky_repo, monkeypatch):
     spawned = _recorded_popens(monkeypatch)
     stream = open_repository(tricky_repo.path, "main")
-    assert [p.args[3] for p in spawned] == ["rev-parse", "rev-parse"]
+    assert [p.args[3] for p in spawned] == ["rev-parse"]
     stream.close()
-    assert len(spawned) == 2
+    assert len(spawned) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +304,7 @@ def test_blob_reuse_follows_the_sha_not_the_path(git_repo):
     assert "int b = 3;\n" not in before_of[T0]
 
 
-def test_each_edit_reads_only_its_new_blob(git_repo, monkeypatch):
-    k = 6
-    for i in range(k + 1):
-        git_repo.commit({"A.java": f"int a = {i};\n"})
-    expected = diff_tree_reference(git_repo.path, "main")
+def _requested_shas(monkeypatch) -> list[str]:
     requested: list[str] = []
     request = _BlobReader.request
 
@@ -297,8 +313,39 @@ def test_each_edit_reads_only_its_new_blob(git_repo, monkeypatch):
         return request(self, shas)
 
     monkeypatch.setattr(_BlobReader, "request", spy)
+    return requested
+
+
+def test_each_edit_reads_only_its_new_blob(git_repo, monkeypatch):
+    k = 6
+    for i in range(k + 1):
+        git_repo.commit({"A.java": f"int a = {i};\n"})
+    expected = diff_tree_reference(git_repo.path, "main")
+    requested = _requested_shas(monkeypatch)
     assert list(open_repository(git_repo.path, "main")) == expected
     assert len(requested) == k + 1  # not 1 + 2k: each before-side is the last after-side
+
+
+def test_a_revert_and_a_copy_read_no_blob_twice(git_repo, monkeypatch):
+    one, two = "int a = 1;\n", "int a = 2;\n"
+    git_repo.commit({"A.java": one})
+    git_repo.commit({"A.java": two})
+    git_repo.commit({"A.java": one})  # revert: A -> B -> A
+    git_repo.commit({"Copy.java": one})  # the same blob at a new path
+    expected = diff_tree_reference(git_repo.path, "main")
+    assert [[(fc.path, fc.before, fc.after) for fc in c.file_changes] for c in expected] == [
+        [("A.java", None, one)], [("A.java", one, two)], [("A.java", two, one)],
+        [("Copy.java", None, one)],
+    ]
+    requested = _requested_shas(monkeypatch)
+    assert list(open_repository(git_repo.path, "main")) == expected
+    assert len(requested) == len(set(requested)) == 2
+    # Keeping one blob loses the revert's reuse, but neither the edits' nor
+    # the copy's, and never the stream.
+    monkeypatch.setattr(history, "_REUSE_BLOBS", 1)
+    requested.clear()
+    assert list(open_repository(git_repo.path, "main")) == expected
+    assert len(requested) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -126,12 +126,12 @@ def test_filter_memo_agrees_with_the_rules_and_stays_out_of_eq_and_repr(monkeypa
     paths = ["/".join(rng.choices(segments, k=rng.randint(1, 3))) for _ in range(60)]
     rules = FileFilterRules()
     # Each path twice in a row, so the second is a memo hit; the memo, bounded
-    # to five paths here, is cleared many times over.
+    # to five paths here, evicts many times over.
     for path in [p for p in paths for _ in range(2)]:
         expected = (any(reference_glob_match(p, path) for p in rules.include_globs)
                     and not any(reference_glob_match(p, path) for p in rules.exclude_globs))
         assert rules.matches(path) == expected, path
-        assert len(rules._memo) <= 5
+        assert rules._verdict.cache_info().currsize <= 5
     assert rules == FileFilterRules() and repr(rules) == repr(FileFilterRules())
 
 
@@ -359,6 +359,18 @@ def test_non_repository_raises(tmp_path):
     plain.mkdir()
     with pytest.raises(RepositoryNotFoundError):
         open_repository(plain, "main")
+
+
+@pytest.mark.parametrize("branch", ["-x", "--all", "a..b", ""])
+def test_names_that_are_no_commit_raise_branch_not_found(git_repo, branch):
+    git_repo.commit({"A.java": "a;\n"})
+    with pytest.raises(BranchNotFoundError):
+        open_repository(git_repo.path, branch)
+
+
+def test_missing_directory_raises_with_gits_message(tmp_path):
+    with pytest.raises(RepositoryNotFoundError, match="cannot change to"):
+        open_repository(tmp_path / "absent", "main")
 
 
 def test_stream_is_deterministic(git_repo):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
+from collections import OrderedDict
 from importlib import resources
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from tempred import history as history_module
 from tempred import report as report_module
 from tempred.cli import main
 from tempred.errors import ConfigurationError
@@ -24,6 +28,7 @@ from tempred.report import (
     emit_report,
     format_percent,
     iter_changesets,
+    open_source,
     render_table,
     report_to_dict,
     run_analysis,
@@ -69,6 +74,30 @@ def test_config_rejects_negative_diff_size_cap():
     with pytest.raises(ConfigurationError, match="diff_size_cap"):
         AnalysisConfig(source="x", diff_size_cap=-1)
     assert AnalysisConfig(source="x", diff_size_cap=0).diff_size_cap == 0
+
+
+def test_config_rejects_unknown_granularity_with_configuration_error():
+    with pytest.raises(ConfigurationError, match="'lines' is not a valid Granularity"):
+        AnalysisConfig(source="x", granularities=("lines",))
+
+
+def test_config_rejects_unknown_scope_with_configuration_error():
+    with pytest.raises(ConfigurationError, match="'file' is not a valid Scope"):
+        AnalysisConfig(source="x", scopes=("global", "file"))
+
+
+@pytest.mark.parametrize("field", ["since", "until", "diff_size_cap"])
+@pytest.mark.parametrize("value", ["abc", 1.5, True])
+def test_config_rejects_bounds_that_are_not_integers(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        AnalysisConfig(source="x", **{field: value})
+
+
+def test_config_takes_integer_or_absent_time_bounds():
+    config = AnalysisConfig(source="x", since=None, until=5, diff_size_cap=7)
+    assert (config.since, config.until, config.diff_size_cap) == (None, 5, 7)
+    with pytest.raises(ConfigurationError, match="diff_size_cap must be an integer"):
+        AnalysisConfig(source="x", diff_size_cap=None)
 
 
 def test_empty_bundle_report_has_zero_commits_and_null_redundancy(bundle_writer):
@@ -283,7 +312,87 @@ def test_line_token_memo_cap_changes_no_output(bundle_writer, monkeypatch):
     state = report_module._make_state(config)
     for text in versions:
         state.fragments(text)
-        assert len(state.line_tokens) <= 2
+        assert state.line_tokens.cache_info().currsize <= 2
+
+
+def _lru_model_fallback_tokens(commits: list[dict], cap: int) -> int:
+    """The fallback count of a ``post``-mode run whose text cache is an LRU of
+    ``cap`` texts: each file side is looked up in commit and file order, and
+    only a miss lexes, and counts, its text."""
+    cache: OrderedDict[str, None] = OrderedDict()
+    count = 0
+    for commit in commits:
+        for fc in commit["files"]:
+            for text in (fc["before"], fc["after"]):
+                if text is None:
+                    continue
+                if text in cache:
+                    cache.move_to_end(text)
+                    continue
+                stats = LexStats()
+                lex(text, include_comments=True, stats=stats)
+                count += stats.fallback_tokens
+                cache[text] = None
+                if len(cache) > cap:
+                    cache.popitem(last=False)
+    return count
+
+
+def test_text_cache_evicts_as_an_lru_model(bundle_writer, monkeypatch):
+    # Four texts with 1, 2, 4 and 8 fallback characters, revisited by two files.
+    versions = [f"int v{i} = {i};" + " €" * (1 << i) + "\n" for i in range(4)]
+    walks = {"A.java": [0, 1, 2, 0, 3, 1, 0, 2], "B.java": [1, 0, 3, 2, 1, 3, 0, 1]}
+    commits = [
+        {"id": f"c{i}", "timestamp": i + 1, "files": [
+            {"path": path, "before": versions[walk[i - 1]] if i else None,
+             "after": versions[walk[i]]}
+            for path, walk in walks.items()
+        ]}
+        for i in range(len(walks["A.java"]))
+    ]
+    config = AnalysisConfig(source=str(bundle_writer(commits)), bundle=True,
+                            normalize="post", trace_commits=True)
+    uncapped = run_analysis(config)
+    assert len(versions) < report_module.FRAGMENT_CACHE_ENTRIES
+    assert uncapped.diagnostics["fallback_tokens"] == _lru_model_fallback_tokens(commits, 4) == 15
+    counts = []
+    for cap in (1, 2, 3):
+        monkeypatch.setattr(report_module, "FRAGMENT_CACHE_ENTRIES", cap)
+        capped = run_analysis(config)
+        counts.append(capped.diagnostics["fallback_tokens"])
+        assert counts[-1] == _lru_model_fallback_tokens(commits, cap), cap
+        assert capped.classifications == uncapped.classifications
+    assert len(set(counts)) == 3 and min(counts) > 15  # each cap evicts differently
+
+
+def test_dropped_caches_free_their_owners(git_repo, monkeypatch):
+    """Every run-path cache wraps a module-level function, so no cache forms a
+    reference cycle that keeps its owner alive until the cyclic GC runs."""
+    git_repo.commit({"A.java": "int a = 1;\n"})
+    git_repo.commit({"A.java": "int a = 2;\n"})
+    plans: list[weakref.ref] = []
+
+    class RecordedPlan(history_module._BlobPlan):
+        def __init__(self, reader) -> None:
+            super().__init__(reader)
+            plans.append(weakref.ref(self))
+
+    monkeypatch.setattr(history_module, "_BlobPlan", RecordedPlan)
+    config = AnalysisConfig(source=str(git_repo.path), branch="main")
+    gc.disable()
+    try:
+        state = report_module._make_state(config)
+        for commit in open_source(config):
+            for fc in commit.file_changes:
+                assert state.rules.matches(fc.path)
+                state.fragments(fc.before)
+                state.fragments(fc.after)
+        assert state.texts.cache_info().currsize == 2
+        owners = [weakref.ref(state), weakref.ref(state.rules), *plans]
+        del state
+        assert len(owners) == 3 and [ref() for ref in owners] == [None] * 3
+    finally:
+        gc.enable()
 
 
 def test_subsumption_violation_deltas_are_capped(bundle_writer, schema):
