@@ -23,10 +23,10 @@ from .history import (
 )
 from .redundancy import Scope
 from .report import (
+    DEFAULT_DIFF_SIZE_CAP,
     AnalysisConfig,
     Report,
     emit_report,
-    render_json,
     run_analysis,
 )
 from .synth import oracle_classify
@@ -91,7 +91,7 @@ def main() -> None:
               default="table", show_default=True)
 @click.option("--trace-commits", is_flag=True,
               help="Include per-commit classifications in JSON output.")
-@click.option("--diff-size-cap", type=int, default=200_000, show_default=True,
+@click.option("--diff-size-cap", type=int, default=DEFAULT_DIFF_SIZE_CAP, show_default=True,
               help="Skip files whose fragment count exceeds this.")
 @click.option("--out", default="-", show_default=True, help="Output file, or - for stdout.")
 def analyze(sources, bundle, branch, since, until, granularity, scope, includes,
@@ -151,29 +151,8 @@ def oracle(bundle_dir, granularity, scope, out):
             bundle=True,
             granularities=granularity,
             scopes=scope,
-            output_format="json",
         )
-        result = oracle_classify(bundle_dir, config)
-        echo = config.echo()
-        echo["engine"] = "oracle"
-        report = Report(
-            project=config.project_name,
-            summary=result.summary,
-            classifications=result.classifications,
-            diagnostics={
-                "warnings": [],
-                "skipped_oversize_files": [],
-                "fallback_tokens": 0,
-                "subsumption_violations": [],
-                "divergent_acceptability": [],
-            },
-            config_echo=echo,
-            commit_count=max(
-                (len(v) for v in result.classifications.values()), default=0
-            ),
-            trace_commits=True,
-        )
-        _write_output(render_json([report]), out)
+        _write_output(emit_report(oracle_classify(bundle_dir, config), "json"), out)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,10 @@
 
 Two sources produce the same stream shape: a real git repository (first-parent
 chain, merges skipped, root emitted as pure insertion) and a portable "history
-bundle" directory that needs no VCS at all. File-level include/exclude
-filtering is applied downstream by the pipeline, not at ingestion.
+bundle" directory that needs no VCS at all. Both skip a commit outside the
+``since``/``until`` window before reading its contents, and number the rest
+from 0. File-level include/exclude filtering is applied downstream by the
+pipeline, not at ingestion.
 
 Bundle layout::
 
@@ -145,6 +147,10 @@ def filter_files(changes: Iterable[FileChange], rules: FileFilterRules) -> list[
 # ---------------------------------------------------------------------------
 
 
+def _in_window(timestamp: int, since: int | None, until: int | None) -> bool:
+    return (since is None or timestamp >= since) and (until is None or timestamp <= until)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise BundleFormatError(message)
@@ -175,13 +181,15 @@ def _resolve_content(value: object, bundle_dir: Path, where: str) -> str | None:
 
 
 def load_history_bundle(
-    bundle_dir: str | Path, on_warning: WarnFn | None = None
+    bundle_dir: str | Path, since: int | None = None, until: int | None = None,
+    on_warning: WarnFn | None = None,
 ) -> Iterator[CommitRecord]:
     """Stream the commits of a bundle directory in manifest order.
 
-    The manifest is validated up front; blob contents are read lazily per
-    commit. Out-of-order timestamps are allowed but warned about; a missing
-    blob or a schema violation aborts.
+    The whole manifest is validated up front: a schema violation aborts, and
+    out-of-order timestamps are allowed but warned about. A commit outside
+    the inclusive ``since``/``until`` window is skipped unread, as in
+    ``open_repository``; the rest are read lazily, where a missing blob aborts.
     """
     warn = on_warning or log.warning
     bundle_dir = Path(bundle_dir)
@@ -213,8 +221,11 @@ def load_history_bundle(
             warn(f"{where}: timestamp {entry['timestamp']} is earlier than its predecessor")
         last_ts = entry["timestamp"]
 
+    kept = [(idx, entry) for idx, entry in enumerate(commits)
+            if _in_window(entry["timestamp"], since, until)]
+
     def _iter() -> Iterator[CommitRecord]:
-        for idx, entry in enumerate(commits):
+        for order_index, (idx, entry) in enumerate(kept):
             where = f"commits[{idx}]"
             changes: list[FileChange] = []
             for fidx, fentry in enumerate(entry["files"]):
@@ -229,7 +240,7 @@ def load_history_bundle(
                 changes.append(FileChange(path=fentry["path"], before=before, after=after))
             yield CommitRecord(
                 commit_id=entry["id"],
-                order_index=idx,
+                order_index=order_index,
                 timestamp=entry["timestamp"],
                 file_changes=changes,
             )
@@ -592,8 +603,7 @@ def open_repository(
                 closing(_BlobReader(repo)) as reader:
             # Merge commits, with their diff against the first parent, are skipped.
             kept = ((sha, ts, entries) for sha, ts, parents, entries in _parse_log(stream.fields())
-                    if len(parents) < 2 and (since is None or ts >= since)
-                    and (until is None or ts <= until))
+                    if len(parents) < 2 and _in_window(ts, since, until))
             plan = _BlobPlan(reader)
             pending: deque[tuple[str, int, list[_PlannedEntry]]] = deque()
             failure: GitError | None = None

@@ -89,8 +89,11 @@ class AnalysisConfig:
                 continue  # an open time bound
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        self.include_globs = tuple(self.include_globs)
-        self.exclude_globs = tuple(self.exclude_globs)
+        for name in ("include_globs", "exclude_globs"):
+            globs = getattr(self, name)
+            if isinstance(globs, str):
+                raise ConfigurationError(f"{name} must be a sequence of globs, got {globs!r}")
+            setattr(self, name, tuple(globs))
         if not self.granularities:
             raise ConfigurationError("at least one granularity must be selected")
         if not self.scopes:
@@ -305,31 +308,10 @@ class Report:
     diff_fallbacks: int = 0
 
 
-def _clip_stream(commits: Iterable[CommitRecord], since: int | None,
-                 until: int | None) -> Iterator[CommitRecord]:
-    """Timestamp-bound a stream, renumbering so order_index stays consecutive.
-
-    Recorded before/after contents are untouched, so a clipped commit is
-    still diffed against its true predecessor, exactly as repository
-    ingestion does with a range.
-    """
-    order_index = 0
-    for commit in commits:
-        if since is not None and commit.timestamp < since:
-            continue
-        if until is not None and commit.timestamp > until:
-            continue
-        commit.order_index = order_index
-        order_index += 1
-        yield commit
-
-
 def open_source(config: AnalysisConfig, on_warning=None) -> Iterator[CommitRecord]:
     if config.bundle:
-        stream = load_history_bundle(config.source, on_warning=on_warning)
-        if config.since is not None or config.until is not None:
-            stream = _clip_stream(stream, config.since, config.until)
-        return stream
+        return load_history_bundle(config.source, since=config.since, until=config.until,
+                                   on_warning=on_warning)
     return open_repository(
         config.source,
         branch=config.branch,

@@ -12,7 +12,9 @@ construction.
 ``oracle_classify`` is the reference implementation of the redundancy
 predicate: for every added fragment it linearly rescans all earlier commits'
 additions. It deliberately shares none of the pool bookkeeping in
-``redundancy`` and exists to certify the incremental pipeline.
+``redundancy`` and exists to certify the incremental pipeline. It reads the
+commits the pipeline reads, through the same ``load_history_bundle`` window,
+and returns the same ``Report`` type.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .redundancy import (
     Scope,
     ScopeMetrics,
 )
-from .report import POST, AnalysisConfig, _clip_stream, post_filter_delta
+from .report import POST, AnalysisConfig, Report, post_filter_delta
 
 _TIMESTAMP_BASE = 1_577_836_800  # 2020-01-01T00:00:00Z
 
@@ -289,12 +291,6 @@ def generate_history(spec: HistorySpec, out_dir: str | Path) -> Path:
 
 
 @dataclass
-class OracleResult:
-    classifications: dict[Granularity, list[CommitClassification]]
-    summary: ProjectSummary
-
-
-@dataclass
 class _OracleCommit:
     commit_id: str
     order_index: int
@@ -326,21 +322,19 @@ def _seen_earlier(history: list[_OracleCommit], upto: int, granularity: Granular
     return False
 
 
-def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None) -> OracleResult:
+def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None) -> Report:
     """Classify a bundle by re-scanning prior commits for every fragment.
 
     Quadratic in history length by design; used for acceptance testing and
-    the ``oracle`` CLI subcommand.
+    the ``oracle`` CLI subcommand. The report has the trace on, empty
+    diagnostics and ``"engine": "oracle"`` in its configuration echo.
     """
     if config is None:
         config = AnalysisConfig(source=str(bundle_dir), bundle=True)
     rules = FileFilterRules(config.include_globs, config.exclude_globs)
 
-    stream = load_history_bundle(bundle_dir)
-    if config.since is not None or config.until is not None:
-        stream = _clip_stream(stream, config.since, config.until)
     history: list[_OracleCommit] = []
-    for commit in stream:
+    for commit in load_history_bundle(bundle_dir, since=config.since, until=config.until):
         entry = _OracleCommit(commit_id=commit.commit_id, order_index=commit.order_index)
         retained = filter_files(commit.file_changes, rules)
         sides = {
@@ -447,4 +441,18 @@ def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None
         acceptable_commits=acceptable_by_g,
         metrics=metrics,
     )
-    return OracleResult(classifications=classifications, summary=summary)
+    return Report(
+        project=config.project_name,
+        summary=summary,
+        classifications=classifications,
+        diagnostics={
+            "warnings": [],
+            "skipped_oversize_files": [],
+            "fallback_tokens": 0,
+            "subsumption_violations": [],
+            "divergent_acceptability": [],
+        },
+        config_echo={**config.echo(), "engine": "oracle"},
+        commit_count=len(history),
+        trace_commits=True,
+    )

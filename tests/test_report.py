@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import gc
 import json
 import os
@@ -91,6 +92,12 @@ def test_config_rejects_unknown_scope_with_configuration_error():
 def test_config_rejects_bounds_that_are_not_integers(field, value):
     with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
         AnalysisConfig(source="x", **{field: value})
+
+
+@pytest.mark.parametrize("field", ["include_globs", "exclude_globs"])
+def test_config_rejects_a_string_of_globs(field):
+    with pytest.raises(ConfigurationError, match=f"{field} must be a sequence of globs"):
+        AnalysisConfig(source="x", **{field: "**/*.java"})
 
 
 def test_config_takes_integer_or_absent_time_bounds():
@@ -206,6 +213,9 @@ def test_bundle_sources_honor_timestamp_range(bundle_writer):
              "files": [{"path": "A.java", "before": "a;\n", "after": "a;\nb;\n"}]},
             {"id": "c2", "timestamp": 300,
              "files": [{"path": "A.java", "before": "a;\nb;\n", "after": "a;\n"}]},
+            # Outside every window below: its missing blob is never read.
+            {"id": "c3", "timestamp": 400,
+             "files": [{"path": "A.java", "before": "a;\n", "after": "@blobs/missing"}]},
         ]
     )
     report = run_analysis(
@@ -217,6 +227,10 @@ def test_bundle_sources_honor_timestamp_range(bundle_writer):
     assert cls[0].order_index == 0
     # The clipped commit still diffs against its recorded predecessor state.
     assert cls[0].added_count == 1
+    for since, until, expected in [(150, 250, ["c1"]), (150, 300, ["c1", "c2"]),
+                                   (None, 250, ["c0", "c1"]), (300, 300, ["c2"])]:
+        commits = load_history_bundle(bundle, since=since, until=until)
+        assert [(c.order_index, c.commit_id) for c in commits] == list(enumerate(expected))
 
 
 def test_post_normalization_mode_runs_and_differs_in_config(small_bundle):
@@ -456,6 +470,18 @@ def test_file_over_the_cap_at_one_granularity_is_skipped_at_both(bundle_writer):
     assert report.summary == oracle.summary
 
 
+def test_no_module_imports_a_private_name_from_another():
+    # A private name has one owner: the module that defines it.
+    offenders = []
+    for path in sorted(Path(history_module.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                offenders += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
+                              f"import {alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
+
+
 def test_package_exports_only_the_library_surface():
     import tempred
 
@@ -569,6 +595,12 @@ def test_cli_oracle_outputs_trace_json(small_bundle):
     payload = json.loads(result.output)
     assert payload["config_echo"]["engine"] == "oracle"
     assert payload["commits"]
+    # Both engines return a Report, which renders alike in every format.
+    config = AnalysisConfig(source=str(small_bundle), bundle=True)
+    oracle, report = oracle_classify(small_bundle, config), run_analysis(config)
+    assert payload["commit_count"] == oracle.commit_count == report.commit_count
+    for fmt in ("csv", "table"):
+        assert emit_report(oracle, fmt) == emit_report(report, fmt)
 
 
 def _assert_clean_cli_error(result, message: str) -> None:

@@ -6,7 +6,10 @@ import filecmp
 import json
 from pathlib import Path
 
+import pytest
+
 from tempred.fragmenter import Granularity
+from tempred.history import load_history_bundle
 from tempred.redundancy import Scope
 from tempred.report import AnalysisConfig, run_analysis
 from tempred.synth import HistorySpec, generate_history, oracle_classify
@@ -120,15 +123,23 @@ def test_oracle_matches_worked_two_file_example(bundle_writer):
     assert line[2].redundant[Scope.LOCAL] is True
 
 
-def test_oracle_agrees_with_pipeline_on_a_mixed_history(tmp_path):
+# A window given as the first and last commit it keeps, or None for none.
+@pytest.mark.parametrize("window", [None, (3, 14)], ids=["whole", "window"])
+def test_oracle_agrees_with_pipeline_on_a_mixed_history(tmp_path, window):
     bundle = generate_history(
         HistorySpec(seed=21, commit_count=18, file_count=3,
                     fragment_alphabet_size=30, reuse_probability=0.6,
                     locality_bias=0.7, token_recombination=0.3),
         tmp_path / "mix",
     )
-    config = AnalysisConfig(source=str(bundle), bundle=True)
+    bounds = {}
+    if window is not None:
+        timestamps = [c.timestamp for c in load_history_bundle(bundle)]
+        bounds = {"since": timestamps[window[0]], "until": timestamps[window[1]]}
+    config = AnalysisConfig(source=str(bundle), bundle=True, **bounds)
     report = run_analysis(config)
     oracle = oracle_classify(bundle, config)
+    expected = 18 if window is None else window[1] - window[0] + 1
+    assert report.commit_count == oracle.commit_count == expected
     assert report.classifications == oracle.classifications
     assert report.summary == oracle.summary
