@@ -25,7 +25,6 @@ from .redundancy import Scope
 from .report import (
     DEFAULT_DIFF_SIZE_CAP,
     AnalysisConfig,
-    Report,
     emit_report,
     run_analysis,
 )
@@ -75,13 +74,13 @@ def main() -> None:
 @click.option("--branch", default="HEAD", show_default=True)
 @click.option("--since", type=int, default=None, help="Earliest commit timestamp (epoch).")
 @click.option("--until", type=int, default=None, help="Latest commit timestamp (epoch).")
-@click.option("--granularity", default="line,token", show_default=True,
+@click.option("--granularity", "granularities", default="line,token", show_default=True,
               callback=_comma_list(Granularity), help="Comma-separated: line,token.")
-@click.option("--scope", default="global,local", show_default=True,
+@click.option("--scope", "scopes", default="global,local", show_default=True,
               callback=_comma_list(Scope), help="Comma-separated: global,local.")
-@click.option("--include", "includes", multiple=True,
+@click.option("--include", "include_globs", multiple=True, default=DEFAULT_INCLUDE_GLOBS,
               help=f"Include glob (repeatable). Default: {', '.join(DEFAULT_INCLUDE_GLOBS)}")
-@click.option("--exclude", "excludes", multiple=True,
+@click.option("--exclude", "exclude_globs", multiple=True, default=DEFAULT_EXCLUDE_GLOBS,
               help=f"Exclude glob (repeatable). Default: {', '.join(DEFAULT_EXCLUDE_GLOBS)}")
 @click.option("--normalize", type=click.Choice(["pre", "post"]), default="pre",
               show_default=True,
@@ -94,29 +93,11 @@ def main() -> None:
 @click.option("--diff-size-cap", type=int, default=DEFAULT_DIFF_SIZE_CAP, show_default=True,
               help="Skip files whose fragment count exceeds this.")
 @click.option("--out", default="-", show_default=True, help="Output file, or - for stdout.")
-def analyze(sources, bundle, branch, since, until, granularity, scope, includes,
-            excludes, normalize, output_format, trace_commits, diff_size_cap, out):
+def analyze(sources, out, **options):
     """Run the full pipeline over one or more repositories or bundles."""
-    reports: list[Report] = []
     with _user_errors():
-        for source in sources:
-            config = AnalysisConfig(
-                source=source,
-                bundle=bundle,
-                branch=branch,
-                since=since,
-                until=until,
-                granularities=granularity,
-                scopes=scope,
-                include_globs=includes or DEFAULT_INCLUDE_GLOBS,
-                exclude_globs=excludes or DEFAULT_EXCLUDE_GLOBS,
-                normalize=normalize,
-                output_format=output_format,
-                trace_commits=trace_commits,
-                diff_size_cap=diff_size_cap,
-            )
-            reports.append(run_analysis(config))
-        _write_output(emit_report(reports, output_format), out)
+        reports = [run_analysis(AnalysisConfig(source=source, **options)) for source in sources]
+        _write_output(emit_report(reports, options["output_format"]), out)
 
 
 @main.command("export-bundle")
@@ -136,23 +117,19 @@ def export_bundle_cmd(source, out, branch, since, until):
 
 
 @main.command()
-@click.option("--bundle", "bundle_dir", required=True,
+@click.option("--bundle", "source", required=True,
               type=click.Path(exists=True, file_okay=False),
               help="History bundle to classify with the naive reference.")
-@click.option("--granularity", default="line,token", show_default=True,
+@click.option("--granularity", "granularities", default="line,token", show_default=True,
               callback=_comma_list(Granularity))
-@click.option("--scope", default="global,local", show_default=True, callback=_comma_list(Scope))
+@click.option("--scope", "scopes", default="global,local", show_default=True,
+              callback=_comma_list(Scope))
 @click.option("--out", default="-", show_default=True)
-def oracle(bundle_dir, granularity, scope, out):
+def oracle(source, out, **options):
     """Run the brute-force reference classifier (test/diagnostic use)."""
     with _user_errors():
-        config = AnalysisConfig(
-            source=bundle_dir,
-            bundle=True,
-            granularities=granularity,
-            scopes=scope,
-        )
-        _write_output(emit_report(oracle_classify(bundle_dir, config), "json"), out)
+        config = AnalysisConfig(source=source, bundle=True, **options)
+        _write_output(emit_report(oracle_classify(source, config), "json"), out)
 
 
 if __name__ == "__main__":

@@ -290,16 +290,16 @@ def export_bundle(commits: Iterable[CommitRecord], out_dir: str | Path) -> Path:
 
 _NULL_SHA = re.compile(r"^0+$")
 
-# One pass over the first-parent chain, oldest first. Each commit is a
-# ``\x01<sha> <committer epoch> <parents>`` header field, then ``:<modes> <shas>
-# <status>`` / ``<path>`` field pairs, all NUL-terminated (git-log(1), RAW
-# OUTPUT FORMAT). The options override the user settings that would change
+# One pass over the first-parent chain, oldest first, without merges. Each
+# commit is a ``\x01<sha> <committer epoch>`` header field, then ``:<modes>
+# <shas> <status>`` / ``<path>`` field pairs, all NUL-terminated (git-log(1),
+# RAW OUTPUT FORMAT). The options override the user settings that would change
 # this output: log.showRoot (the root's files), diff.renames, core.abbrev,
 # diff.relative, diff.orderFile, color and signatures.
 _LOG_ARGS = (
-    "-c", "log.showRoot=true", "log", "--first-parent", "--reverse", "--raw", "-z",
-    "--no-renames", "--no-abbrev", "--no-relative", "-O/dev/null", "--no-color",
-    "--no-show-signature", "--format=%x01%H %ct %P",
+    "-c", "log.showRoot=true", "log", "--first-parent", "--no-merges", "--reverse", "--raw",
+    "-z", "--no-renames", "--no-abbrev", "--no-relative", "-O/dev/null", "--no-color",
+    "--no-show-signature", "--format=%x01%H %ct",
 )
 _READ_CHUNK = 1 << 16
 # At most this many blob requests are written to cat-file and not yet
@@ -315,9 +315,9 @@ _COMMIT_WINDOW = 64
 _REUSE_BLOBS = 1024
 
 # (old_mode, new_mode, old_sha, new_sha, path) of one raw entry, and
-# (sha, committer epoch, parents, raw entries) of one commit.
+# (sha, committer epoch, raw entries) of one commit.
 _RawEntry = tuple[str, str, str, str, str]
-_LogCommit = tuple[str, int, list[str], list[_RawEntry]]
+_LogCommit = tuple[str, int, list[_RawEntry]]
 
 
 class _GitChild:
@@ -417,9 +417,9 @@ def _parse_log(fields: Iterator[bytes]) -> Iterator[_LogCommit]:
             if commit is not None:
                 yield commit
             header = f[1:].decode("ascii", "replace").split()
-            if len(header) < 2 or not header[1].isdigit():
+            if len(header) != 2 or not header[1].isdigit():
                 raise GitError(f"git log: malformed commit header {f[:200]!r}")
-            commit = (header[0], int(header[1]), header[2:], [])
+            commit = (header[0], int(header[1]), [])
             continue
         # The first entry of a commit follows a newline after the header.
         meta = f.lstrip(b"\n").decode("ascii", "replace")
@@ -428,7 +428,7 @@ def _parse_log(fields: Iterator[bytes]) -> Iterator[_LogCommit]:
         if commit is None or not meta.startswith(":") or len(parts) != 5 or path is None:
             raise GitError(f"git log: malformed raw entry {f[:200]!r}")
         old_mode, new_mode, old_sha, new_sha, _status = parts
-        commit[3].append((old_mode, new_mode, old_sha, new_sha, path.decode("utf-8", "replace")))
+        commit[2].append((old_mode, new_mode, old_sha, new_sha, path.decode("utf-8", "replace")))
     if commit is not None:
         yield commit
 
@@ -601,9 +601,8 @@ def open_repository(
     def _iter() -> Iterator[CommitRecord]:
         with closing(_GitChild(repo, (*_LOG_ARGS, branch, "--"))) as stream, \
                 closing(_BlobReader(repo)) as reader:
-            # Merge commits, with their diff against the first parent, are skipped.
-            kept = ((sha, ts, entries) for sha, ts, parents, entries in _parse_log(stream.fields())
-                    if len(parents) < 2 and _in_window(ts, since, until))
+            kept = (commit for commit in _parse_log(stream.fields())
+                    if _in_window(commit[1], since, until))
             plan = _BlobPlan(reader)
             pending: deque[tuple[str, int, list[_PlannedEntry]]] = deque()
             failure: GitError | None = None

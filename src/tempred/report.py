@@ -141,9 +141,9 @@ FRAGMENT_CACHE_ENTRIES = 1024
 # entry, a full LRU stays within tens of MB.
 LINE_MEMO_ENTRIES = 1 << 16
 
-# A file version's line fragments and token fragments, each empty when that
-# granularity is not analyzed.
-_Fragments = tuple[tuple[str, ...], tuple[str, ...]]
+# A file version's line fragments, token fragments and lexer fallback count;
+# those of a granularity not analyzed are empty or 0.
+_Fragments = tuple[tuple[str, ...], tuple[str, ...], int]
 
 
 def _post_filter_line(fragment: str) -> bool:
@@ -167,23 +167,24 @@ def _lex_line(line: str) -> tuple[tuple[str, ...], int]:
     return tuple(lex(line, stats=stats)), stats.fallback_tokens
 
 
-def _fragment(granularities: tuple[Granularity, ...], normalize: str, lex_stats: LexStats,
+def _fragment(granularities: tuple[Granularity, ...], normalize: str,
               line_tokens: Callable[[str], tuple[tuple[str, ...], int]],
               text: str) -> _Fragments:
     want_lines = Granularity.LINE in granularities
     want_tokens = Granularity.TOKEN in granularities
     if normalize == POST:
+        stats = LexStats()
         return ((tuple(split_raw_lines(text)) if want_lines else ()),
-                tuple(lex(text, include_comments=True, stats=lex_stats)) if want_tokens else ())
+                tuple(lex(text, include_comments=True, stats=stats)) if want_tokens else (),
+                stats.fallback_tokens)
     normalized = fragment_lines(text)
     tokens: list[str] = []
+    fallback = 0
     if want_tokens:
-        fallback = 0
         for line_toks, line_fallback in map(line_tokens, normalized):
             tokens += line_toks
             fallback += line_fallback
-        lex_stats.fallback_tokens += fallback
-    return (tuple(normalized) if want_lines else ()), tuple(tokens)
+    return (tuple(normalized) if want_lines else ()), tuple(tokens), fallback
 
 
 @dataclass
@@ -197,16 +198,15 @@ class _PipelineState:
     ``line_tokens``, an LRU of line -> (tokens, fallback count) shared
     across files and commits, since most lines survive from one version to
     the next. ``post`` mode keeps comment tokens, which can span lines, so
-    it lexes whole files. Fallback counts reach ``lex_stats`` once per text
-    cache miss, so the text LRU's evictions are part of the output. Both
-    caches wrap module-level functions, not methods, so they hold no
-    reference back to the state.
+    it lexes whole files. Both caches wrap module-level functions, not
+    methods, so they hold no reference back to the state.
     """
 
     granularities: tuple[Granularity, ...]
     normalize: str
     rules: FileFilterRules
-    lex_stats: LexStats = field(default_factory=LexStats)
+    # Lexer fallbacks in the new versions of the retained files.
+    fallback_tokens: int = 0
     skipped_oversize: list[dict] = field(default_factory=list)
     # File pairs for which ``verdict_delta`` gave no delta and the full
     # differ ran.
@@ -215,11 +215,11 @@ class _PipelineState:
     def __post_init__(self) -> None:
         self.line_tokens = lru_cache(LINE_MEMO_ENTRIES)(_lex_line)
         self.texts = lru_cache(FRAGMENT_CACHE_ENTRIES)(partial(
-            _fragment, self.granularities, self.normalize, self.lex_stats, self.line_tokens))
+            _fragment, self.granularities, self.normalize, self.line_tokens))
 
     def fragments(self, text: str | None) -> _Fragments:
         # An absent side is kept out of the LRU, where it would take a slot.
-        return ((), ()) if text is None else self.texts(text)
+        return ((), (), 0) if text is None else self.texts(text)
 
 
 def _make_state(config: AnalysisConfig) -> _PipelineState:
@@ -242,6 +242,7 @@ def _commit_changes(commit: CommitRecord, config: AnalysisConfig,
     retained = filter_files(commit.file_changes, state.rules)
     # One cache lookup per file side, whatever the granularities analyzed.
     sides = [(state.fragments(fc.before), state.fragments(fc.after)) for fc in retained]
+    state.fallback_tokens += sum(after[2] for _, after in sides)
     # A file over the cap at any granularity is skipped at every one, so the
     # line and token pools index the same files. (A granularity not analyzed
     # has empty sides.)
@@ -394,7 +395,7 @@ def analyze_commits(commits: Iterable[CommitRecord], config: AnalysisConfig,
     diagnostics = {
         "warnings": warnings,
         "skipped_oversize_files": state.skipped_oversize,
-        "fallback_tokens": state.lex_stats.fallback_tokens,
+        "fallback_tokens": state.fallback_tokens,
         "subsumption_violations": subsumption_violations,
         "divergent_acceptability": divergent_acceptability,
     }

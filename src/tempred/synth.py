@@ -326,15 +326,18 @@ def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None
     """Classify a bundle by re-scanning prior commits for every fragment.
 
     Quadratic in history length by design; used for acceptance testing and
-    the ``oracle`` CLI subcommand. The report has the trace on, empty
-    diagnostics and ``"engine": "oracle"`` in its configuration echo.
+    the ``oracle`` CLI subcommand. The report has the trace on, the
+    loader's warnings as its only diagnostics and ``"engine": "oracle"`` in
+    its configuration echo.
     """
     if config is None:
         config = AnalysisConfig(source=str(bundle_dir), bundle=True)
     rules = FileFilterRules(config.include_globs, config.exclude_globs)
 
     history: list[_OracleCommit] = []
-    for commit in load_history_bundle(bundle_dir, since=config.since, until=config.until):
+    warnings: list[str] = []
+    for commit in load_history_bundle(bundle_dir, since=config.since, until=config.until,
+                                      on_warning=warnings.append):
         entry = _OracleCommit(commit_id=commit.commit_id, order_index=commit.order_index)
         retained = filter_files(commit.file_changes, rules)
         sides = {
@@ -446,7 +449,7 @@ def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None
         summary=summary,
         classifications=classifications,
         diagnostics={
-            "warnings": [],
+            "warnings": warnings,
             "skipped_oversize_files": [],
             "fallback_tokens": 0,
             "subsumption_violations": [],

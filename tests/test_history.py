@@ -164,13 +164,15 @@ def test_out_of_order_timestamps_warn_but_load(bundle_writer):
     bundle = bundle_writer(
         [
             {"id": "c0", "timestamp": 200, "files": []},
-            {"id": "c1", "timestamp": 100, "files": []},
+            {"id": "c1", "timestamp": 100,
+             "files": [{"path": "A.java", "before": None, "after": None}]},
         ]
     )
     warnings: list[str] = []
     commits = list(load_history_bundle(bundle, on_warning=warnings.append))
-    assert len(commits) == 2
-    assert any("timestamp" in w for w in warnings)
+    assert len(commits) == 2 and commits[1].file_changes == []
+    assert warnings == ["commits[1]: timestamp 100 is earlier than its predecessor",
+                        "commits[1].files[0]: both sides absent; dropped"]
 
 
 def test_noop_file_pairs_are_dropped(bundle_writer):
@@ -232,6 +234,9 @@ def test_malformed_manifests_abort(tmp_path, manifest):
 
 def test_missing_manifest_aborts(tmp_path):
     with pytest.raises(BundleFormatError):
+        load_history_bundle(tmp_path)
+    (tmp_path / "manifest.json").write_text("{not json", encoding="utf-8")
+    with pytest.raises(BundleFormatError, match="not valid JSON"):
         load_history_bundle(tmp_path)
 
 
@@ -329,10 +334,14 @@ def test_file_deletion_streams_with_absent_after(git_repo):
 def test_binary_files_skipped_with_warning(git_repo):
     git_repo.commit({"A.java": "a;\n"})
     git_repo.commit_binary("blob.bin", b"\x00\x01\x02")
+    # Two blobs whose bytes decode to the same text make no change.
+    git_repo.commit_binary("A.java", b"\xff\n")
+    git_repo.commit_binary("A.java", b"\xfe\n")
     warnings: list[str] = []
     commits = list(open_repository(git_repo.path, "main", on_warning=warnings.append))
-    assert commits[1].file_changes == []
-    assert any("binary" in w for w in warnings)
+    assert commits[1].file_changes == [] and commits[3].file_changes == []
+    assert commits[2].file_changes[0].after == "\ufffd\n"
+    assert len(warnings) == 1 and "binary" in warnings[0]
 
 
 def test_timestamp_range_bounds_commits(git_repo):

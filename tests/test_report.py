@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import weakref
-from collections import OrderedDict
 from importlib import resources
 from pathlib import Path
 
@@ -17,6 +16,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from tempred import differ as differ_module
 from tempred import history as history_module
 from tempred import report as report_module
 from tempred.cli import main
@@ -25,6 +25,7 @@ from tempred.fragmenter import Granularity, LexStats, lex
 from tempred.history import load_history_bundle
 from tempred.redundancy import NOVEL_FRAGMENT_CAP, Scope
 from tempred.report import (
+    POST,
     AnalysisConfig,
     emit_report,
     format_percent,
@@ -35,6 +36,8 @@ from tempred.report import (
     run_analysis,
 )
 from tempred.synth import HistorySpec, generate_history, oracle_classify
+
+from conftest import GitRepoBuilder
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +63,8 @@ def test_config_requires_granularity_and_scope():
         AnalysisConfig(source="x", scopes=())
     with pytest.raises(ConfigurationError):
         AnalysisConfig(source="x", normalize="sideways")
+    with pytest.raises(ConfigurationError, match="unknown output format 'xml'"):
+        AnalysisConfig(source="x", output_format="xml")
 
 
 def test_config_rejects_repeated_granularities_and_scopes():
@@ -314,11 +319,12 @@ def test_line_token_memo_cap_changes_no_output(bundle_writer, monkeypatch):
     bundle = bundle_writer(commits)
     config = AnalysisConfig(source=str(bundle), bundle=True, trace_commits=True)
     expected = emit_report(run_analysis(config), "json")
-    # Counted once per distinct file version, as whole-file lexing counts them.
+    # Counted over each kept file's new version, as whole-file lexing counts it.
     whole_file = LexStats()
-    for text in versions:
-        lex(text, stats=whole_file)
-    assert whole_file.fallback_tokens > 0
+    for commit in commits:
+        for fc in commit["files"]:
+            lex(fc["after"], stats=whole_file)
+    assert whole_file.fallback_tokens == 11
     assert json.loads(expected)["diagnostics"]["fallback_tokens"] == whole_file.fallback_tokens
 
     monkeypatch.setattr(report_module, "LINE_MEMO_ENTRIES", 2)
@@ -329,54 +335,93 @@ def test_line_token_memo_cap_changes_no_output(bundle_writer, monkeypatch):
         assert state.line_tokens.cache_info().currsize <= 2
 
 
-def _lru_model_fallback_tokens(commits: list[dict], cap: int) -> int:
-    """The fallback count of a ``post``-mode run whose text cache is an LRU of
-    ``cap`` texts: each file side is looked up in commit and file order, and
-    only a miss lexes, and counts, its text."""
-    cache: OrderedDict[str, None] = OrderedDict()
-    count = 0
-    for commit in commits:
-        for fc in commit["files"]:
-            for text in (fc["before"], fc["after"]):
-                if text is None:
-                    continue
-                if text in cache:
-                    cache.move_to_end(text)
-                    continue
-                stats = LexStats()
-                lex(text, include_comments=True, stats=stats)
-                count += stats.fallback_tokens
-                cache[text] = None
-                if len(cache) > cap:
-                    cache.popitem(last=False)
-    return count
+# Every bound on a run-path cache, buffer or look-ahead window. None of them
+# may change a report; a new ``lru_cache`` must name its bound here.
+RUN_PATH_BOUNDS = [
+    (report_module, "FRAGMENT_CACHE_ENTRIES"),
+    (report_module, "LINE_MEMO_ENTRIES"),
+    (history_module, "FILTER_MEMO_ENTRIES"),
+    (history_module, "_REUSE_BLOBS"),
+    (history_module, "_REQUEST_WINDOW"),
+    (history_module, "_COMMIT_WINDOW"),
+    (history_module, "_READ_CHUNK"),
+    (differ_module, "LCS_BLOCK_BITS"),
+]
 
 
-def test_text_cache_evicts_as_an_lru_model(bundle_writer, monkeypatch):
-    # Four texts with 1, 2, 4 and 8 fallback characters, revisited by two files.
-    versions = [f"int v{i} = {i};" + " €" * (1 << i) + "\n" for i in range(4)]
-    walks = {"A.java": [0, 1, 2, 0, 3, 1, 0, 2], "B.java": [1, 0, 3, 2, 1, 3, 0, 1]}
-    commits = [
-        {"id": f"c{i}", "timestamp": i + 1, "files": [
-            {"path": path, "before": versions[walk[i - 1]] if i else None,
-             "after": versions[walk[i]]}
-            for path, walk in walks.items()
-        ]}
-        for i in range(len(walks["A.java"]))
+@pytest.fixture(scope="module")
+def fallback_history(tmp_path_factory) -> list[tuple[AnalysisConfig, str]]:
+    """A git history with lexer fallbacks, a binary file, a side-branch merge, a
+    revert, a copy and a reversed file (a pair that takes the bit-parallel
+    LCS); the same history windowed and exported as a bundle; each run in
+    both modes with the trace on, paired with its JSON report."""
+    root = tmp_path_factory.mktemp("fallback")
+    repo = GitRepoBuilder(root / "repo")
+    v = [f"int café{i} = {i}; // € {i}\nString s{i} = \"#{i}\";\nprice{i} = €{i}; # tag\n"
+         for i in range(5)]
+    rows = [f"int row{i} = {i} €;\n" for i in range(30)]
+    base = repo.commit({"src/A.java": v[0], "src/B.java": v[1], "src/L.java": "".join(rows)})
+    repo.commit_binary("img.bin", b"\x89PNG\x00")
+    repo.commit({"src/A.java": v[1]})
+    repo.branch_from("side", base)
+    repo.commit({"src/Side.java": v[3]})
+    repo.checkout("main")
+    repo.merge("side")
+    repo.commit({"src/B.java": v[2], "src/L.java": "".join(reversed(rows))})
+    repo.commit({"src/A.java": v[0]})  # a revert
+    repo.commit({"src/C.java": v[2], "src/B.java": v[4]})  # a copy
+    repo.commit({"src/A.java": v[3], "src/Side.java": None})
+    repo.commit({"src/B.java": v[1], "src/L.java": "".join(rows)})
+    timestamps = sorted(int(t) for t in repo._run("log", "--format=%ct").split())
+    bundle = root / "bundle"
+    exported = CliRunner().invoke(main, ["export-bundle", "--source", str(repo.path),
+                                         "--out", str(bundle)])
+    assert exported.exit_code == 0, exported.output
+    sources = [
+        {"source": str(repo.path)},
+        {"source": str(repo.path), "since": timestamps[2], "until": timestamps[-2]},
+        {"source": str(bundle), "bundle": True},
     ]
-    config = AnalysisConfig(source=str(bundle_writer(commits)), bundle=True,
-                            normalize="post", trace_commits=True)
-    uncapped = run_analysis(config)
-    assert len(versions) < report_module.FRAGMENT_CACHE_ENTRIES
-    assert uncapped.diagnostics["fallback_tokens"] == _lru_model_fallback_tokens(commits, 4) == 15
-    counts = []
-    for cap in (1, 2, 3):
-        monkeypatch.setattr(report_module, "FRAGMENT_CACHE_ENTRIES", cap)
-        capped = run_analysis(config)
-        counts.append(capped.diagnostics["fallback_tokens"])
-        assert counts[-1] == _lru_model_fallback_tokens(commits, cap), cap
-        assert capped.classifications == uncapped.classifications
-    assert len(set(counts)) == 3 and min(counts) > 15  # each cap evicts differently
+    runs = []
+    for source in sources:
+        for normalize in ("pre", "post"):
+            config = AnalysisConfig(**source, normalize=normalize, trace_commits=True)
+            runs.append((config, emit_report(run_analysis(config), "json")))
+    return runs
+
+
+def test_fallback_tokens_count_the_kept_files_new_versions(fallback_history):
+    for config, output in fallback_history:
+        expected = LexStats()
+        for commit in open_source(config):
+            for fc in commit.file_changes:
+                if fc.after is not None and fc.path.endswith(".java"):
+                    lex(fc.after, include_comments=config.normalize == POST, stats=expected)
+        fallback_tokens = json.loads(output)["diagnostics"]["fallback_tokens"]
+        assert fallback_tokens == expected.fallback_tokens > 0
+
+
+@pytest.mark.parametrize("module, name", RUN_PATH_BOUNDS,
+                         ids=[name for _, name in RUN_PATH_BOUNDS])
+def test_no_run_path_bound_changes_a_report(fallback_history, monkeypatch, module, name):
+    monkeypatch.setattr(module, name, 1)
+    for config, expected in fallback_history:
+        assert emit_report(run_analysis(config), "json") == expected, config.echo()
+
+
+def test_every_lru_cache_bound_is_a_checked_run_path_bound():
+    # The ``maxsize`` given to each ``lru_cache`` in the package, as written.
+    bounds = []
+    for path in sorted(Path(history_module.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) != "lru_cache":
+                continue
+            sizes = [*node.args[:1], *(k.value for k in node.keywords if k.arg == "maxsize")]
+            bounds += [f"{path.name}: {ast.unparse(size)}" for size in sizes] or [
+                f"{path.name}: lru_cache()"]
+    checked = {f"{Path(module.__file__).name}: {name}" for module, name in RUN_PATH_BOUNDS}
+    assert bounds and [b for b in bounds if b not in checked] == []
 
 
 def test_dropped_caches_free_their_owners(git_repo, monkeypatch):
@@ -523,12 +568,21 @@ def test_cli_runs_are_byte_identical(small_bundle):
     assert first.output == second.output
 
 
-def test_cli_table_output(small_bundle):
+def test_cli_table_output(small_bundle, bundle_writer):
     runner = CliRunner()
     result = runner.invoke(main, ["analyze", "--source", str(small_bundle), "--bundle"])
     assert result.exit_code == 0
     assert "project" in result.output
     assert "line global redundancy" in result.output
+    # Re-spacing a line changes its line but none of its tokens.
+    respaced = bundle_writer([
+        {"id": "c0", "timestamp": 1,
+         "files": [{"path": "A.java", "before": None, "after": "int a=1;\n"}]},
+        {"id": "c1", "timestamp": 2,
+         "files": [{"path": "A.java", "before": "int a=1;\n", "after": "int a = 1;\n"}]},
+    ], "respaced")
+    result = runner.invoke(main, ["analyze", "--source", str(respaced), "--bundle"])
+    assert result.output.splitlines()[2].startswith("respaced  line:2/token:1  ")
 
 
 def test_cli_write_to_file(small_bundle, tmp_path):
@@ -588,7 +642,7 @@ def test_cli_export_bundle_then_analyze(git_repo, tmp_path):
     assert json.loads(analyzed.output)["commit_count"] == 2
 
 
-def test_cli_oracle_outputs_trace_json(small_bundle):
+def test_cli_oracle_outputs_trace_json(small_bundle, bundle_writer):
     runner = CliRunner()
     result = runner.invoke(main, ["oracle", "--bundle", str(small_bundle)])
     assert result.exit_code == 0, result.output
@@ -601,6 +655,13 @@ def test_cli_oracle_outputs_trace_json(small_bundle):
     assert payload["commit_count"] == oracle.commit_count == report.commit_count
     for fmt in ("csv", "table"):
         assert emit_report(oracle, fmt) == emit_report(report, fmt)
+    # Both engines report the loader's warnings.
+    unordered = str(bundle_writer([{"id": "c0", "timestamp": 200, "files": []},
+                                   {"id": "c1", "timestamp": 100, "files": []}], "unordered"))
+    warned = [json.loads(runner.invoke(main, args).output)["diagnostics"]["warnings"]
+              for args in (["oracle", "--bundle", unordered],
+                           ["analyze", "--source", unordered, "--bundle", "--format", "json"])]
+    assert warned == [["commits[1]: timestamp 100 is earlier than its predecessor"]] * 2
 
 
 def _assert_clean_cli_error(result, message: str) -> None:
