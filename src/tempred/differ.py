@@ -17,37 +17,49 @@ band, so the trace keeps only those. Time and trace memory are still
 quadratic in D when N and M are both near D.
 
 ``verdict_delta`` gives redundancy classification what it reads of a delta
-without paying that quadratic cost. Call the trimmed middles B' and A', with
-N and M fragments as above, and L the fragments already indexed at the
-file's path (its local pool, as the commit will be classified against it).
-It takes the first of three steps that applies:
+without paying that quadratic cost: whether the pair adds anything, and
+which fragments to check against the pools. Call the trimmed middles B' and
+A', with N and M fragments as above, and L the fragments already indexed at
+the file's path (its local pool, as the commit will be classified against
+it). The verdict route applies when every fragment in both A' and B' is in
+L. Its delta's ``added`` lists the A' fragments that are not in B', in A'
+order, and nothing is ``removed``.
+
+Without a count (``count=False``, a run that prints no per-commit rows) a
+pair takes the verdict route whenever it applies, with no Myers pass and no
+LCS. Whether the pair adds anything is one subsequence test: trimming removes
+only matched fragments, so a minimal diff inserts M - LCS(B', A') fragments,
+and M - LCS >= 1 iff LCS < M iff A' is not a subsequence of B'. Its count
+is ``None``. A pair outside the route takes steps 1 and 3 below.
+
+With a count, a pair takes the first of three steps that applies:
 
 1. The Myers pass above, stopped after step 2 * isqrt(N + M), or not run
    when |N - M|, a lower bound on D, is larger. Step d visits at most
    d + 1 diagonals, so this is at most about 2 (N + M) diagonals and
    O(N + M) trace memory, about what step 2 costs. A pair that finishes
    keeps its canonical delta.
-2. If every fragment in both A' and B' is in L, a verdict delta: its
-   ``added`` lists the A' fragments that are not in B', in A' order, and its
-   ``added_count`` is M - LCS(B', A'), computed by ``bit_lcs_length``.
+2. The verdict route, with ``added_count`` M - LCS(B', A') computed by
+   ``bit_lcs_length``.
 3. Otherwise ``None``: the caller runs ``diff_fragments`` in full.
 
-Why step 2 changes no verdict, pool or count. A fragment of A' that is not
-in B' has nothing to match, so every diff, the canonical one included,
-inserts each of its occurrences. The canonical ``added`` is therefore the
-verdict ``added`` with some occurrences of fragments of A' ∩ B' interleaved,
-all in A' order. Those fragments are in L, and L is a subset of the global
-pool, because indexing adds every fragment to both. Against either pool the
-extra occurrences are present, so they change neither "every added fragment
-is in the pool" nor the novel fragments, which skip present fragments; the
-order of the novel fragments is kept too. Indexing them adds nothing,
-because ``FragmentPool.add`` keeps the first entry, so the pools, their
-``first_seen`` values and their insertion order come out the same. A local
-pool is created when a delta adds something. If the canonical ``added`` is
-non-empty and the verdict ``added`` is empty, every fragment of A' is in B',
-hence in L, so L already exists and neither delta creates a pool. The count
-is exact: trimming removes only matched fragments, so a minimal diff inserts
-M - LCS(B', A') fragments, which is ``len`` of the canonical ``added``.
+Why the verdict route changes no verdict, pool or count. A fragment of A'
+that is not in B' has nothing to match, so every diff, the canonical one
+included, inserts each of its occurrences. The canonical ``added`` is
+therefore the verdict ``added`` with some occurrences of fragments of
+A' ∩ B' interleaved, all in A' order. Those fragments are in L, and L is a
+subset of the global pool, because indexing adds every fragment to both.
+Against either pool the extra occurrences are present, so they change
+neither "every added fragment is in the pool" nor the novel fragments, which
+skip present fragments; the order of the novel fragments is kept too.
+Indexing them adds nothing, because ``FragmentPool.add`` keeps the first
+entry, so the pools, their ``first_seen`` values and their insertion order
+come out the same. A local pool is created when a delta adds something. If
+the canonical ``added`` is non-empty and the verdict ``added`` is empty,
+every fragment of A' is in B', hence in L, so L already exists and neither
+delta creates a pool. Acceptability reads the delta's ``adds``, which is
+exact on both routes, and the count is M - LCS(B', A'), which is ``len`` of
+the canonical ``added``.
 """
 
 from __future__ import annotations
@@ -71,10 +83,12 @@ LCS_BLOCK_BITS = 8192
 class FileDelta:
     """Added and removed fragments of one file in one commit, one granularity.
 
-    A delta from step 2 of ``verdict_delta`` lists in ``added`` only the
-    fragments every minimal diff inserts, and nothing in ``removed``: its
-    ``inserts`` holds the exact insert count, and ``sides`` the two
-    sequences, so that ``exact`` can diff them in full.
+    A delta from ``verdict_delta``'s verdict route lists in ``added`` only
+    the fragments every minimal diff inserts, and nothing in ``removed``:
+    ``any_inserted`` says whether a minimal diff inserts anything,
+    ``inserts`` holds how many (``None`` when the count was not asked
+    for), and ``sides`` the two sequences, so that ``exact`` can diff them
+    in full.
     """
 
     path: str
@@ -82,13 +96,20 @@ class FileDelta:
     added: list[str]
     removed: list[str]
     inserts: int | None = None
+    any_inserted: bool = False
     sides: tuple[Sequence[str], Sequence[str]] | None = field(
         default=None, repr=False, compare=False)
 
     @property
-    def added_count(self) -> int:
-        """How many fragments a minimal diff inserts."""
-        return len(self.added) if self.inserts is None else self.inserts
+    def added_count(self) -> int | None:
+        """How many fragments a minimal diff inserts, or ``None`` for a
+        verdict delta whose count was not asked for."""
+        return len(self.added) if self.sides is None else self.inserts
+
+    @property
+    def adds(self) -> bool:
+        """Whether a minimal diff inserts any fragment."""
+        return bool(self.added) if self.sides is None else self.any_inserted
 
     def exact(self) -> FileDelta:
         """This delta with every inserted and deleted fragment listed."""
@@ -204,35 +225,58 @@ def verdict_delta(
     after: Sequence[str],
     known: Container[str],
     *,
+    count: bool = True,
     path: str = "",
     granularity: Granularity = Granularity.LINE,
 ) -> FileDelta | None:
     """A delta that classifies and indexes like ``diff_fragments``'s, or
     ``None`` when only the full diff can give one.
 
-    ``known`` holds the fragments already indexed at ``path``. See the module
-    docstring for the three steps and why a step-2 delta is safe.
+    ``known`` holds the fragments already indexed at ``path``. With
+    ``count`` the delta's ``added_count`` is exact; without it a verdict
+    delta's is ``None``. See the module docstring for the routes and why a
+    verdict delta is safe.
     """
     lo, n, m = _trim(before, after)
-    edits = _middle_edits(before, after, lo, n, m, 2 * isqrt((n - lo) + (m - lo)))
-    if edits is not None:
-        return FileDelta(path=path, granularity=granularity, added=edits[0],
-                         removed=edits[1])
     old, new = before[lo:n], after[lo:m]
+    common = None if count else _known_common(old, new, known)
+    if common is None:
+        edits = _middle_edits(before, after, lo, n, m, 2 * isqrt(len(old) + len(new)))
+        if edits is not None:
+            return FileDelta(path=path, granularity=granularity, added=edits[0],
+                             removed=edits[1])
+        # Without a count, the verdict route was ruled out above.
+        common = _known_common(old, new, known) if count else None
+        if common is None:
+            return None
+    added = [fragment for fragment in new if fragment not in common]
+    if count:
+        # A fragment on one side only matches nothing, so the LCS of the
+        # middles is the LCS of their common fragments.
+        inserts: int | None = len(new) - bit_lcs_length(
+            [f for f in old if f in common], [f for f in new if f in common])
+        any_inserted = inserts > 0
+    else:
+        inserts = None
+        any_inserted = bool(added) or not _is_subsequence(new, old)
+    return FileDelta(path=path, granularity=granularity, added=added, removed=[],
+                     inserts=inserts, any_inserted=any_inserted, sides=(before, after))
+
+
+def _known_common(old: Sequence[str], new: Sequence[str],
+                  known: Container[str]) -> set[str] | None:
+    """The fragments on both sides, or ``None`` if one of them is not known."""
     common = set(old).intersection(new)
-    if not all(fragment in known for fragment in common):
-        return None
-    # A fragment on one side only matches nothing, so the LCS of the
-    # middles is the LCS of their common fragments.
-    lcs = bit_lcs_length([f for f in old if f in common], [f for f in new if f in common])
-    return FileDelta(
-        path=path,
-        granularity=granularity,
-        added=[fragment for fragment in new if fragment not in common],
-        removed=[],
-        inserts=len(new) - lcs,
-        sides=(before, after),
-    )
+    return common if all(fragment in known for fragment in common) else None
+
+
+def _is_subsequence(a: Sequence[str], b: Sequence[str]) -> bool:
+    """Whether ``a`` is a subsequence of ``b``: each ``in`` consumes ``b``'s
+    iterator up to its match, in C."""
+    if len(a) > len(b):
+        return False
+    rest = iter(b)
+    return all(fragment in rest for fragment in a)
 
 
 def bit_lcs_length(a: Sequence[str], b: Sequence[str]) -> int:

@@ -72,13 +72,15 @@ class CommitClassification:
     ``redundant`` and ``novel_fragments`` are keyed by the scopes that were
     evaluated. Novel fragments are the distinct added fragments not found in
     the pool, in first-occurrence order, capped for reporting.
+    ``added_count`` is ``None`` when a delta's count was not computed, as in
+    a run without ``trace_commits``; ``acceptable`` is always exact.
     """
 
     commit_id: str
     order_index: int
     granularity: Granularity
     acceptable: bool
-    added_count: int
+    added_count: int | None
     redundant: dict[Scope, bool]
     novel_fragments: dict[Scope, list[str]]
 
@@ -104,11 +106,15 @@ def classify_commit(
     changes: ChangeSet,
     granularity: Granularity,
     scopes: tuple[Scope, ...] = ALL_SCOPES,
+    *,
+    count: bool = True,
 ) -> CommitClassification:
     """Classify one commit against pools that reflect strictly earlier commits.
 
     The commit's own additions must not be indexed yet; a pool that has
     already advanced to this commit's position raises ``PipelineOrderError``.
+    ``added_count`` is ``None`` without ``count``, or when a delta's count
+    is unknown.
     """
     commit = changes.commit
     if pools.last_indexed is not None and pools.last_indexed >= commit.order_index:
@@ -118,8 +124,9 @@ def classify_commit(
         )
 
     deltas = changes.deltas_for(granularity)
-    added_count = sum(d.added_count for d in deltas)
-    acceptable = added_count >= 1
+    counts = [d.added_count for d in deltas]
+    added_count = sum(counts) if count and None not in counts else None
+    acceptable = any(d.adds for d in deltas)
 
     redundant: dict[Scope, bool] = {}
     novel: dict[Scope, list[str]] = {}

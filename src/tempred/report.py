@@ -235,8 +235,9 @@ def _commit_changes(commit: CommitRecord, config: AnalysisConfig,
                     pools: dict[Granularity, ScopedPools] | None = None) -> ChangeSet:
     """One commit's deltas. Given the pools the commit will be classified
     against, a ``pre``-mode pair takes ``verdict_delta``'s deltas, which
-    classify and index as the full diff's would; ``post`` mode filters the
-    full diff's fragments, so it always diffs."""
+    classify and index as the full diff's would, and are counted only when
+    the trace prints the counts; ``post`` mode filters the full diff's
+    fragments, so it always diffs."""
     changes = ChangeSet(commit=commit)
     fast = pools is not None and config.normalize == PRE
     retained = filter_files(commit.file_changes, state.rules)
@@ -270,7 +271,8 @@ def _commit_changes(commit: CommitRecord, config: AnalysisConfig,
             if fast:
                 local = pools[granularity].local_pools.get(fc.path)
                 delta = verdict_delta(before, after, local.first_seen if local else (),
-                                      path=fc.path, granularity=granularity)
+                                      count=config.trace_commits, path=fc.path,
+                                      granularity=granularity)
                 state.diff_fallbacks += delta is None
             if delta is None:
                 delta = diff_fragments(before, after, path=fc.path, granularity=granularity)
@@ -361,7 +363,8 @@ def analyze_commits(commits: Iterable[CommitRecord], config: AnalysisConfig,
         per_commit: dict[Granularity, CommitClassification] = {}
         for granularity in config.granularities:
             per_commit[granularity] = classify_commit(
-                pools[granularity], changes, granularity, scopes=config.scopes
+                pools[granularity], changes, granularity, scopes=config.scopes,
+                count=config.trace_commits,
             )
         if audit_pair:
             line_cls = per_commit[Granularity.LINE]

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .differ import diff_fragments
-from .fragmenter import Granularity, fragment_lines, lex
+from .fragmenter import Granularity, LexStats, fragment_lines, lex, split_raw_lines
 from .history import CommitRecord, FileChange, FileFilterRules, export_bundle, filter_files, load_history_bundle
 from .redundancy import (
     NOVEL_FRAGMENT_CAP,
@@ -298,16 +298,15 @@ class _OracleCommit:
     additions: dict[Granularity, list[tuple[str, list[str]]]] = field(default_factory=dict)
 
 
-def _oracle_fragments(text: str | None, granularity: Granularity, normalize: str) -> list[str]:
+def _oracle_fragments(text: str | None, granularity: Granularity, normalize: str,
+                      stats: LexStats | None = None) -> list[str]:
     if text is None:
         return []
     if granularity is Granularity.LINE:
         if normalize == POST:
-            from .fragmenter import split_raw_lines
-
             return split_raw_lines(text)
         return fragment_lines(text)
-    return lex(text, include_comments=normalize == POST)
+    return lex(text, include_comments=normalize == POST, stats=stats)
 
 
 def _seen_earlier(history: list[_OracleCommit], upto: int, granularity: Granularity,
@@ -326,9 +325,10 @@ def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None
     """Classify a bundle by re-scanning prior commits for every fragment.
 
     Quadratic in history length by design; used for acceptance testing and
-    the ``oracle`` CLI subcommand. The report has the trace on, the
-    loader's warnings as its only diagnostics and ``"engine": "oracle"`` in
-    its configuration echo.
+    the ``oracle`` CLI subcommand. The report has the trace on and
+    ``"engine": "oracle"`` in its configuration echo. Its diagnostics are
+    the loader's warnings, the over-cap sides and the lexer fallbacks of the
+    kept files' new versions; it makes no line-vs-token audit.
     """
     if config is None:
         config = AnalysisConfig(source=str(bundle_dir), bundle=True)
@@ -336,13 +336,17 @@ def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None
 
     history: list[_OracleCommit] = []
     warnings: list[str] = []
+    skipped_oversize: list[dict] = []
+    # Only the token sides are lexed, so only they count fallbacks.
+    lex_stats = LexStats()
     for commit in load_history_bundle(bundle_dir, since=config.since, until=config.until,
                                       on_warning=warnings.append):
         entry = _OracleCommit(commit_id=commit.commit_id, order_index=commit.order_index)
         retained = filter_files(commit.file_changes, rules)
         sides = {
             g: [(_oracle_fragments(fc.before, g, config.normalize),
-                 _oracle_fragments(fc.after, g, config.normalize)) for fc in retained]
+                 _oracle_fragments(fc.after, g, config.normalize, lex_stats))
+                for fc in retained]
             for g in config.granularities
         }
         # Over the cap at any granularity means skipped at all of them.
@@ -353,6 +357,13 @@ def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None
         for granularity in config.granularities:
             per_file: list[tuple[str, list[str]]] = []
             for fc, (before, after), skip in zip(retained, sides[granularity], oversize):
+                if len(before) + len(after) > config.diff_size_cap:
+                    skipped_oversize.append({
+                        "commit_id": commit.commit_id,
+                        "path": fc.path,
+                        "granularity": granularity.value,
+                        "fragments": len(before) + len(after),
+                    })
                 if skip:
                     continue
                 delta = diff_fragments(before, after, path=fc.path, granularity=granularity)
@@ -450,8 +461,8 @@ def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None
         classifications=classifications,
         diagnostics={
             "warnings": warnings,
-            "skipped_oversize_files": [],
-            "fallback_tokens": 0,
+            "skipped_oversize_files": skipped_oversize,
+            "fallback_tokens": lex_stats.fallback_tokens,
             "subsumption_violations": [],
             "divergent_acceptability": [],
         },

@@ -394,6 +394,40 @@ def test_verdict_delta_is_canonical_or_sound(case):
     assert_sound_verdict(*case)
 
 
+def _middles(before: list[str], after: list[str]) -> tuple[list[str], list[str]]:
+    """B' and A': both sides less their common prefix and suffix."""
+    lo, shorter = 0, min(len(before), len(after))
+    while lo < shorter and before[lo] == after[lo]:
+        lo += 1
+    hi = 0
+    while hi < shorter - lo and before[-1 - hi] == after[-1 - hi]:
+        hi += 1
+    return before[lo : len(before) - hi], after[lo : len(after) - hi]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_pair_and_known())
+def test_uncounted_verdict_matches_dp_oracle(case):
+    # Without a count, a pair whose shared fragments are all known takes the
+    # verdict route: its flag is LCS < M, its fragments A' minus set(B').
+    # Any other pair gets what the counted call gives outside step 2.
+    before, after, known = case
+    old, new = _middles(before, after)
+    delta = verdict_delta(before, after, known, count=False, path="F",
+                          granularity=Granularity.TOKEN)
+    counted = verdict_delta(before, after, known, path="F", granularity=Granularity.TOKEN)
+    if set(old) & set(new) <= known:
+        assert delta.sides is not None and delta.added_count is None
+        assert delta.adds == (lcs_length(old, new) < len(new)) == counted.adds
+        assert delta.added == [fragment for fragment in new if fragment not in set(old)]
+        assert delta.removed == []
+        assert delta.exact() == diff_fragments(before, after, path="F",
+                                               granularity=Granularity.TOKEN)
+    else:
+        assert delta == counted
+        assert delta is None or delta.sides is None
+
+
 def test_verdict_delta_outcomes():
     small_edit = (list("abcdefgh"), list("abcXefgh"))
     reversal = (list("abcdefghij"), list("jihgfedcba"))

@@ -77,7 +77,8 @@ def test_pipeline_matches_oracle_on_messy_content(tmp_path: Path, normalize: str
     for seed in range(40):
         rng = random.Random(77_000 + seed)
         bundle = export_bundle(_random_history(rng), tmp_path / f"{normalize}{seed}")
-        config = AnalysisConfig(source=str(bundle), bundle=True, normalize=normalize)
+        config = AnalysisConfig(source=str(bundle), bundle=True, normalize=normalize,
+                                trace_commits=True)
         report = run_analysis(config)
         oracle = oracle_classify(bundle, config)
         assert report.classifications == oracle.classifications, (normalize, seed)

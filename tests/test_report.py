@@ -224,7 +224,8 @@ def test_bundle_sources_honor_timestamp_range(bundle_writer):
         ]
     )
     report = run_analysis(
-        AnalysisConfig(source=str(bundle), bundle=True, since=150, until=250)
+        AnalysisConfig(source=str(bundle), bundle=True, since=150, until=250,
+                       trace_commits=True)
     )
     assert report.commit_count == 1
     cls = report.classifications[Granularity.LINE]
@@ -498,7 +499,8 @@ def test_file_over_the_cap_at_one_granularity_is_skipped_at_both(bundle_writer):
         {"id": "c1", "timestamp": 2,
          "files": [{"path": "B.java", "before": None, "after": "\n".join(lines[:2]) + "\n"}]},
     ])
-    config = AnalysisConfig(source=str(bundle), bundle=True, diff_size_cap=30)
+    config = AnalysisConfig(source=str(bundle), bundle=True, diff_size_cap=30,
+                            trace_commits=True)
     changes = list(iter_changesets(load_history_bundle(bundle), config))
     assert changes[0].deltas == []
     report = run_analysis(config)

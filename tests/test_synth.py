@@ -136,10 +136,28 @@ def test_oracle_agrees_with_pipeline_on_a_mixed_history(tmp_path, window):
     if window is not None:
         timestamps = [c.timestamp for c in load_history_bundle(bundle)]
         bounds = {"since": timestamps[window[0]], "until": timestamps[window[1]]}
-    config = AnalysisConfig(source=str(bundle), bundle=True, **bounds)
+    config = AnalysisConfig(source=str(bundle), bundle=True, trace_commits=True, **bounds)
     report = run_analysis(config)
     oracle = oracle_classify(bundle, config)
     expected = 18 if window is None else window[1] - window[0] + 1
     assert report.commit_count == oracle.commit_count == expected
     assert report.classifications == oracle.classifications
     assert report.summary == oracle.summary
+
+
+@pytest.mark.parametrize("normalize", ["pre", "post"])
+def test_oracle_diagnostics_match_pipeline(bundle_writer, normalize):
+    # `#` and `€` lex to fallback tokens; B.java's token side is over the
+    # cap while its line side is not, so it is skipped at both.
+    euros = "".join(f"int b{i} = €;\n" for i in range(8))
+    bundle = bundle_writer([
+        {"id": "c0", "timestamp": 1,
+         "files": [{"path": "A.java", "before": None, "after": "int a = 1; # €\n"},
+                   {"path": "B.java", "before": None, "after": euros}]},
+    ])
+    config = AnalysisConfig(source=str(bundle), bundle=True, diff_size_cap=20,
+                            normalize=normalize)
+    report, oracle = run_analysis(config), oracle_classify(bundle, config)
+    assert oracle.diagnostics["skipped_oversize_files"] == \
+        report.diagnostics["skipped_oversize_files"] != []
+    assert oracle.diagnostics["fallback_tokens"] == report.diagnostics["fallback_tokens"] == 10

@@ -1,22 +1,25 @@
 """Verdict deltas in the pipeline: ``analyze_commits`` must classify every
-commit, and fill every pool, exactly as the all-diff reference does, and
-fall back to the full differ only where a file's history is incomplete."""
+commit (without the trace, all but its count), and fill every pool, exactly
+as the all-diff reference does, and fall back to the full differ only where
+a file's history is incomplete."""
 
 from __future__ import annotations
 
 import random
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tempred import differ
 from tempred import report as report_module
 from tempred.differ import diff_fragments, verdict_delta
 from tempred.fragmenter import Granularity, lex
 from tempred.history import CommitRecord, FileChange
-from tempred.redundancy import ScopedPools, index_commit, summarize
+from tempred.redundancy import Scope, ScopedPools, index_commit, summarize
 from tempred.report import AnalysisConfig, analyze_commits, open_source
 
 from conftest import reference_classify
@@ -36,29 +39,39 @@ def _pool_state(pools: dict[Granularity, ScopedPools]) -> dict:
 
 
 def assert_matches_reference(config: AnalysisConfig, monkeypatch, commits=None):
-    """Run ``analyze_commits`` and the all-diff reference on the same stream
-    (``commits``, or the configured source opened twice); every
-    classification and every pool entry, in order, must be equal. Returns
-    the pipeline's report."""
-    captured: dict[Granularity, ScopedPools] = {}
+    """Run ``analyze_commits`` with the trace on and off, and the all-diff
+    reference, on the same stream (``commits``, or the configured source
+    opened anew each time). With the trace on, every classification must
+    equal the reference's; with it off, every one but its ``added_count``,
+    which is ``None``. Both runs must fill every pool entry, in order, as
+    the reference does, and fall back to the full diff on the same pairs.
+    Returns the untraced report."""
+    def stream():
+        return commits if commits is not None else open_source(config)
 
-    def capture(pools, changes, granularity):
-        captured[granularity] = pools
-        return index_commit(pools, changes, granularity)
+    expected, pools = reference_classify(stream(), config)
+    uncounted = {g: [replace(c, added_count=None) for c in cls]
+                 for g, cls in expected.items()}
+    reports = {}
+    for trace_commits, want in ((True, expected), (False, uncounted)):
+        captured: dict[Granularity, ScopedPools] = {}
 
-    with monkeypatch.context() as patch:
-        patch.setattr(report_module, "index_commit", capture)
-        report = analyze_commits(commits if commits is not None else open_source(config),
-                                 config)
-    expected, pools = reference_classify(
-        commits if commits is not None else open_source(config), config
-    )
-    assert report.classifications == expected
-    assert report.summary == summarize(expected, pools, project=config.project_name,
-                                       scopes=config.scopes)
-    if report.commit_count:
-        assert _pool_state(captured) == _pool_state(pools)
-    return report
+        def capture(pools, changes, granularity):
+            captured[granularity] = pools
+            return index_commit(pools, changes, granularity)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(report_module, "index_commit", capture)
+            report = analyze_commits(stream(), replace(config, trace_commits=trace_commits))
+        assert report.classifications == want
+        assert report.summary == summarize(expected, pools, project=config.project_name,
+                                           scopes=config.scopes)
+        if report.commit_count:
+            assert _pool_state(captured) == _pool_state(pools)
+        reports[trace_commits] = report
+    assert reports[True].diff_fallbacks == reports[False].diff_fallbacks
+    assert reports[True].diagnostics == reports[False].diagnostics
+    return reports[False]
 
 
 def _java(lines: list[str]) -> str:
@@ -175,8 +188,8 @@ def test_bench_workloads_need_no_fallback(tmp_path, monkeypatch):
 
     bundle = workloads.build_bundle(tmp_path / "bundle-3k", seed=1, commits=400)
     rewrites = workloads.build_rewrites(tmp_path / "rewrites", seed=1, commits=30)
-    for source, trace_commits in ((bundle, True), (rewrites, False)):
-        config = AnalysisConfig(source=str(source), bundle=True, trace_commits=trace_commits)
+    for source in (bundle, rewrites):
+        config = AnalysisConfig(source=str(source), bundle=True)
         report = assert_matches_reference(config, monkeypatch)
         assert report.diff_fallbacks == 0
 
@@ -190,6 +203,11 @@ def test_violation_dump_diffs_a_verdict_delta_in_full():
     full = diff_fragments(before, after, path="A.java", granularity=Granularity.TOKEN)
     assert delta.added_count == len(full.added) > len(delta.added)
     assert report_module._violation_delta(delta) == report_module._violation_delta(full)
+    uncounted = verdict_delta(before, after, frozenset(before), count=False,
+                              path="A.java", granularity=Granularity.TOKEN)
+    assert uncounted.added_count is None and uncounted.adds
+    assert (uncounted.added, uncounted.removed) == (delta.added, delta.removed)
+    assert report_module._violation_delta(uncounted) == report_module._violation_delta(full)
 
 
 def _rewrite(rng: random.Random, tag: str, lines: int) -> str:
@@ -206,6 +224,30 @@ def _rewrite(rng: random.Random, tag: str, lines: int) -> str:
     return _java([f"public class {tag.upper()} {{", *body, "}"])
 
 
+def test_untraced_rewrite_runs_no_myers_and_no_lcs(monkeypatch):
+    # Without the trace, every pair of this history takes the verdict route,
+    # so neither the Myers pass nor the bit-parallel LCS may run.
+    rng = random.Random(5)
+    old, new = _rewrite(rng, "p", 60), _rewrite(rng, "q", 60)
+    commits = [
+        CommitRecord("c0", 0, 0, [FileChange("A.java", None, old)]),
+        CommitRecord("c1", 1, 1, [FileChange("A.java", old, new)]),
+        CommitRecord("c2", 2, 2, [FileChange("A.java", new, old)]),
+    ]
+
+    def forbidden(*args):
+        raise AssertionError("an untraced verdict ran a diff or an LCS")
+
+    monkeypatch.setattr(differ, "_middle_edits", forbidden)
+    monkeypatch.setattr(differ, "bit_lcs_length", forbidden)
+    report = analyze_commits(commits, AnalysisConfig(source="rewrite", bundle=True))
+    assert report.diff_fallbacks == 0
+    for cls in report.classifications.values():
+        assert [c.acceptable for c in cls] == [True, True, True]
+        assert [c.redundant[Scope.GLOBAL] for c in cls] == [False, False, True]
+        assert all(c.added_count is None for c in cls)
+
+
 def test_whole_file_rewrite_memory_is_bounded():
     # A 5k-token file, then a rewrite of it sharing only keywords and
     # punctuation: the full differ holds an O(D^2) trace here (D is about
@@ -216,7 +258,8 @@ def test_whole_file_rewrite_memory_is_bounded():
         CommitRecord("c0", 0, 0, [FileChange("A.java", None, old)]),
         CommitRecord("c1", 1, 1, [FileChange("A.java", old, new)]),
     ]
-    config = AnalysisConfig(source="rewrite", bundle=True, granularities=("token",))
+    config = AnalysisConfig(source="rewrite", bundle=True, granularities=("token",),
+                            trace_commits=True)
     tracemalloc.start()
     try:
         report = analyze_commits(commits, config)
@@ -242,7 +285,8 @@ def test_reversed_file_lcs_memory_is_bounded():
         CommitRecord("c0", 0, 0, [FileChange("A.java", None, old)]),
         CommitRecord("c1", 1, 1, [FileChange("A.java", old, new)]),
     ]
-    config = AnalysisConfig(source="reversed", bundle=True, granularities=("line",))
+    config = AnalysisConfig(source="reversed", bundle=True, granularities=("line",),
+                            trace_commits=True)
     tracemalloc.start()
     try:
         report = analyze_commits(commits, config)
