@@ -16,6 +16,25 @@ the backtrack reads only the V entries of parity d - 1 that border that
 band, so the trace keeps only those. Time and trace memory are still
 quadratic in D when N and M are both near D.
 
+``pair_middles`` gives the pipeline a ``pre``-mode file pair already
+trimmed, at both granularities, from one trim of its lines. Lines compare
+first, and a line's tokens depend on its text alone, so equal lines have
+equal tokens. After the line trim, the before and after token sequences are
+P + X + S and P + Y + S: P and S are the tokens of the common prefix and
+suffix lines, X and Y those of the middle lines. Trimming them whole, the
+prefix step crosses P, then walks X and Y together; if it stops inside both,
+at p, the suffix step crosses S and walks X and Y back, bounded by that same
+stop. Every compare after P is one that trimming X and Y alone makes, so
+the middles are the same. Only if the prefix step uses up X or Y does it go
+on into S; then the windows take the tokens of the first w suffix lines,
+X + S_w and Y + S_w, for w = 1, 2, 4, ... up to the whole suffix, where the
+windows are the whole sequences less P. The same argument holds for any
+window in which the prefix step stops inside both sides. If both line
+middles are empty the files have the same lines, so the token middles are
+empty. Handed the middles, ``verdict_delta`` and ``diff_fragments`` find
+nothing more to trim and give the deltas of the whole sequences, which
+depend on the middles alone.
+
 ``verdict_delta`` gives redundancy classification what it reads of a delta
 without paying that quadratic cost: whether the pair adds anything, and
 which fragments to check against the pools. Call the trimmed middles B' and
@@ -65,7 +84,7 @@ the canonical ``added``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import pairwise
+from itertools import chain, pairwise
 from math import isqrt
 from typing import Container, Sequence, TYPE_CHECKING
 
@@ -87,8 +106,8 @@ class FileDelta:
     the fragments every minimal diff inserts, and nothing in ``removed``:
     ``any_inserted`` says whether a minimal diff inserts anything,
     ``inserts`` holds how many (``None`` when the count was not asked
-    for), and ``sides`` the two sequences, so that ``exact`` can diff them
-    in full.
+    for), and ``sides`` the two sequences it was given (the pipeline gives
+    the trimmed middles), so that ``exact`` can diff them in full.
     """
 
     path: str
@@ -140,6 +159,40 @@ def _trim(before: Sequence[str], after: Sequence[str]) -> tuple[int, int, int]:
         n -= 1
         m -= 1
     return lo, n, m
+
+
+def pair_middles(
+    before: Sequence[str],
+    after: Sequence[str],
+    before_tokens: Sequence[Sequence[str]] | None = None,
+    after_tokens: Sequence[Sequence[str]] | None = None,
+) -> tuple[tuple[Sequence[str], Sequence[str]], tuple[list[str], list[str]] | None]:
+    """The middles of a line pair and, given each line's tokens, of the
+    token pair the lines flatten to.
+
+    The lines are trimmed once; only the tokens of the middle lines are
+    flattened and trimmed. When that prefix step uses up a side, the token
+    windows widen by common-suffix lines, doubling up to the whole suffix,
+    and are trimmed again. The token middles are those of trimming the
+    whole-file token sequences (see the module docstring).
+    """
+    lo, n, m = _trim(before, after)
+    lines = before[lo:n], after[lo:m]
+    if before_tokens is None or after_tokens is None:
+        return lines, None
+    if lo == n and lo == m:
+        return lines, ([], [])
+    suffix = len(before) - n
+    width = 0
+    while True:
+        old = list(chain.from_iterable(before_tokens[lo : n + width]))
+        new = list(chain.from_iterable(after_tokens[lo : m + width]))
+        t_lo, t_n, t_m = _trim(old, new)
+        if width == suffix or t_lo < min(len(old), len(new)):
+            # Trimmed in place: slices would copy the middles once more.
+            del old[t_n:], old[:t_lo], new[t_m:], new[:t_lo]
+            return lines, (old, new)
+        width = min(suffix, 2 * width or 1)
 
 
 def _middle_edits(before: Sequence[str], after: Sequence[str], lo: int, n: int,
@@ -238,7 +291,9 @@ def verdict_delta(
     verdict delta is safe.
     """
     lo, n, m = _trim(before, after)
-    old, new = before[lo:n], after[lo:m]
+    # Sides that are already middles, as the pipeline gives them, are not copied.
+    old = before[lo:n] if lo or n < len(before) else before
+    new = after[lo:m] if lo or m < len(after) else after
     common = None if count else _known_common(old, new, known)
     if common is None:
         edits = _middle_edits(before, after, lo, n, m, 2 * isqrt(len(old) + len(new)))

@@ -126,12 +126,9 @@ def split_raw_lines(source: str) -> list[str]:
 
 def fragment_lines(source: str) -> list[str]:
     """Normalized line fragments: comments stripped, lines trimmed, blanks dropped."""
-    fragments = []
-    for raw in _LINE_BREAK.split(strip_comments(source)):
-        line = raw.strip()
-        if line:
-            fragments.append(line)
-    return fragments
+    stripped = strip_comments(source)
+    raw = _LINE_BREAK.split(stripped) if "\r" in stripped else stripped.split("\n")
+    return list(filter(None, map(str.strip, raw)))
 
 
 def lex(source: str, include_comments: bool = False, stats: LexStats | None = None) -> list[str]:

@@ -10,7 +10,6 @@ inter-commit.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -194,6 +193,16 @@ class ProjectSummary:
     metrics: list[ScopeMetrics]
 
 
+def _median(sizes: list[int]) -> float | None:
+    """The median as ``statistics.median`` takes it (the mean of the two
+    middle values of an even count), as a float; ``None`` when empty."""
+    if not sizes:
+        return None
+    sizes = sorted(sizes)
+    mid = len(sizes) // 2
+    return float(sizes[mid]) if len(sizes) % 2 else (sizes[mid - 1] + sizes[mid]) / 2
+
+
 def summarize(
     classifications: dict[Granularity, list[CommitClassification]],
     pools: dict[Granularity, ScopedPools],
@@ -222,8 +231,7 @@ def summarize(
                 median = None
             else:
                 pool_size = None
-                sizes = [p.size for p in pool.local_pools.values()]
-                median = float(statistics.median(sizes)) if sizes else None
+                median = _median([p.size for p in pool.local_pools.values()])
             metrics.append(
                 ScopeMetrics(
                     granularity=granularity,

@@ -10,15 +10,14 @@ byte-identical JSON.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .differ import ChangeSet, FileDelta, diff_fragments, verdict_delta
+from .differ import ChangeSet, FileDelta, diff_fragments, pair_middles, verdict_delta
 from .errors import ConfigurationError
 from .fragmenter import (
     Granularity,
@@ -141,9 +140,20 @@ FRAGMENT_CACHE_ENTRIES = 1024
 # entry, a full LRU stays within tens of MB.
 LINE_MEMO_ENTRIES = 1 << 16
 
-# A file version's line fragments, token fragments and lexer fallback count;
-# those of a granularity not analyzed are empty or 0.
-_Fragments = tuple[tuple[str, ...], tuple[str, ...], int]
+
+class _Text(NamedTuple):
+    """A file version's fragments. In ``pre`` mode ``lines`` are always
+    kept, since pairs are trimmed by line, and ``tokens`` holds one token
+    tuple per line; in ``post`` mode ``tokens`` is the whole file's. What a
+    granularity not analyzed would fill is empty or 0."""
+
+    lines: tuple[str, ...]
+    tokens: tuple
+    token_count: int
+    fallback: int
+
+
+_ABSENT = _Text((), (), 0, 0)
 
 
 def _post_filter_line(fragment: str) -> bool:
@@ -169,37 +179,36 @@ def _lex_line(line: str) -> tuple[tuple[str, ...], int]:
 
 def _fragment(granularities: tuple[Granularity, ...], normalize: str,
               line_tokens: Callable[[str], tuple[tuple[str, ...], int]],
-              text: str) -> _Fragments:
-    want_lines = Granularity.LINE in granularities
+              text: str) -> _Text:
     want_tokens = Granularity.TOKEN in granularities
     if normalize == POST:
         stats = LexStats()
-        return ((tuple(split_raw_lines(text)) if want_lines else ()),
-                tuple(lex(text, include_comments=True, stats=stats)) if want_tokens else (),
-                stats.fallback_tokens)
-    normalized = fragment_lines(text)
-    tokens: list[str] = []
-    fallback = 0
-    if want_tokens:
-        for line_toks, line_fallback in map(line_tokens, normalized):
-            tokens += line_toks
-            fallback += line_fallback
-    return (tuple(normalized) if want_lines else ()), tuple(tokens), fallback
+        tokens = tuple(lex(text, include_comments=True, stats=stats)) if want_tokens else ()
+        lines = tuple(split_raw_lines(text)) if Granularity.LINE in granularities else ()
+        return _Text(lines, tokens, len(tokens), stats.fallback_tokens)
+    lines = tuple(fragment_lines(text))
+    if not want_tokens:
+        return _Text(lines, (), 0, 0)
+    per_line, fallbacks = tuple(zip(*map(line_tokens, lines))) or ((), ())
+    return _Text(lines, per_line, sum(map(len, per_line)), sum(fallbacks))
 
 
 @dataclass
 class _PipelineState:
     """What one run carries from commit to commit.
 
-    ``texts`` is an LRU of file text -> (lines, tokens). In ``pre`` mode,
-    tokens never cross a normalized line: lexing a file gives the same
-    tokens, and the same fallback count, as lexing each of its
-    ``fragment_lines`` in turn. So a text's tokens are assembled from
+    ``texts`` is an LRU of file text -> ``_Text``. In ``pre`` mode, tokens
+    never cross a normalized line: lexing a file gives the same tokens, and
+    the same fallback count, as lexing each of its ``fragment_lines`` in
+    turn. So a text keeps its lines and, per line, the token tuple of
     ``line_tokens``, an LRU of line -> (tokens, fallback count) shared
     across files and commits, since most lines survive from one version to
-    the next. ``post`` mode keeps comment tokens, which can span lines, so
-    it lexes whole files. Both caches wrap module-level functions, not
-    methods, so they hold no reference back to the state.
+    the next; no whole-file token tuple is built. ``pair`` trims a file pair
+    once by line and flattens only the tokens of the lines that differ
+    (``differ.pair_middles``), so token work and memory follow the edit,
+    not the file. ``post`` mode keeps comment tokens, which can span lines,
+    so it lexes and diffs whole files. Both caches wrap module-level
+    functions, not methods, so they hold no reference back to the state.
     """
 
     granularities: tuple[Granularity, ...]
@@ -217,9 +226,18 @@ class _PipelineState:
         self.texts = lru_cache(FRAGMENT_CACHE_ENTRIES)(partial(
             _fragment, self.granularities, self.normalize, self.line_tokens))
 
-    def fragments(self, text: str | None) -> _Fragments:
+    def fragments(self, text: str | None) -> _Text:
         # An absent side is kept out of the LRU, where it would take a slot.
-        return ((), (), 0) if text is None else self.texts(text)
+        return _ABSENT if text is None else self.texts(text)
+
+    def pair(self, before: _Text, after: _Text) -> tuple[tuple, tuple | None]:
+        """The line pair and the token pair to diff: the middles of the two
+        sides in ``pre`` mode, the whole sides in ``post`` mode."""
+        if self.normalize == POST:
+            return (before.lines, after.lines), (before.tokens, after.tokens)
+        if Granularity.TOKEN not in self.granularities:
+            return pair_middles(before.lines, after.lines)
+        return pair_middles(before.lines, after.lines, before.tokens, after.tokens)
 
 
 def _make_state(config: AnalysisConfig) -> _PipelineState:
@@ -243,30 +261,30 @@ def _commit_changes(commit: CommitRecord, config: AnalysisConfig,
     retained = filter_files(commit.file_changes, state.rules)
     # One cache lookup per file side, whatever the granularities analyzed.
     sides = [(state.fragments(fc.before), state.fragments(fc.after)) for fc in retained]
-    state.fallback_tokens += sum(after[2] for _, after in sides)
+    state.fallback_tokens += sum(after.fallback for _, after in sides)
+    # Fragments per pair, as (lines, tokens); 0 at a granularity not analyzed.
+    count_lines = Granularity.LINE in config.granularities
+    sizes = [(len(before.lines) + len(after.lines) if count_lines else 0,
+              before.token_count + after.token_count) for before, after in sides]
     # A file over the cap at any granularity is skipped at every one, so the
-    # line and token pools index the same files. (A granularity not analyzed
-    # has empty sides.)
-    oversize = [
-        max(len(before[0]) + len(after[0]), len(before[1]) + len(after[1]))
-        > config.diff_size_cap
-        for before, after in sides
-    ]
+    # line and token pools index the same files.
+    pairs = [None if max(size) > config.diff_size_cap else state.pair(*side)
+             for side, size in zip(sides, sizes)]
     for granularity in config.granularities:
         slot = 0 if granularity is Granularity.LINE else 1
-        for fc, (before_side, after_side), skip in zip(retained, sides, oversize):
-            before, after = before_side[slot], after_side[slot]
-            if len(before) + len(after) > config.diff_size_cap:
+        for fc, size, pair in zip(retained, sizes, pairs):
+            if size[slot] > config.diff_size_cap:
                 state.skipped_oversize.append(
                     {
                         "commit_id": commit.commit_id,
                         "path": fc.path,
                         "granularity": granularity.value,
-                        "fragments": len(before) + len(after),
+                        "fragments": size[slot],
                     }
                 )
-            if skip:
+            if pair is None:
                 continue
+            before, after = pair[slot]
             delta = None
             if fast:
                 local = pools[granularity].local_pools.get(fc.path)
@@ -496,6 +514,8 @@ CSV_COLUMNS = [
 
 
 def render_csv(reports: list[Report]) -> str:
+    import csv  # only CSV output needs it; kept off the run path's imports
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

@@ -294,8 +294,9 @@ def generate_history(spec: HistorySpec, out_dir: str | Path) -> Path:
 class _OracleCommit:
     commit_id: str
     order_index: int
-    # granularity -> [(path, added fragments)]
-    additions: dict[Granularity, list[tuple[str, list[str]]]] = field(default_factory=dict)
+    # granularity -> [(path, added fragments, removed fragments)]
+    additions: dict[Granularity, list[tuple[str, list[str], list[str]]]] = field(
+        default_factory=dict)
 
 
 def _oracle_fragments(text: str | None, granularity: Granularity, normalize: str,
@@ -313,7 +314,7 @@ def _seen_earlier(history: list[_OracleCommit], upto: int, granularity: Granular
                   fragment: str, path: str | None = None) -> bool:
     """Literal scan of all earlier commits' additions; no pools, no indexes."""
     for i in range(upto):
-        for entry_path, added in history[i].additions[granularity]:
+        for entry_path, added, _ in history[i].additions[granularity]:
             if path is not None and entry_path != path:
                 continue
             if fragment in added:
@@ -328,7 +329,10 @@ def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None
     the ``oracle`` CLI subcommand. The report has the trace on and
     ``"engine": "oracle"`` in its configuration echo. Its diagnostics are
     the loader's warnings, the over-cap sides and the lexer fallbacks of the
-    kept files' new versions; it makes no line-vs-token audit.
+    kept files' new versions, and, when both granularities are analyzed, its
+    own line-vs-token audit: the commits whose acceptability differs, and
+    those line-redundant but not token-redundant at a scope, with every
+    full-diff delta of the commit.
     """
     if config is None:
         config = AnalysisConfig(source=str(bundle_dir), bundle=True)
@@ -355,7 +359,7 @@ def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None
             for per_g in zip(*sides.values())
         ]
         for granularity in config.granularities:
-            per_file: list[tuple[str, list[str]]] = []
+            per_file: list[tuple[str, list[str], list[str]]] = []
             for fc, (before, after), skip in zip(retained, sides[granularity], oversize):
                 if len(before) + len(after) > config.diff_size_cap:
                     skipped_oversize.append({
@@ -369,7 +373,7 @@ def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None
                 delta = diff_fragments(before, after, path=fc.path, granularity=granularity)
                 if config.normalize == POST:
                     post_filter_delta(delta)
-                per_file.append((fc.path, delta.added))
+                per_file.append((fc.path, delta.added, delta.removed))
             entry.additions[granularity] = per_file
         history.append(entry)
 
@@ -379,7 +383,7 @@ def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None
     for j, entry in enumerate(history):
         for granularity in config.granularities:
             per_file = entry.additions[granularity]
-            added_count = sum(len(added) for _, added in per_file)
+            added_count = sum(len(added) for _, added, _ in per_file)
             acceptable = added_count >= 1
             redundant: dict[Scope, bool] = {}
             novel: dict[Scope, list[str]] = {}
@@ -387,7 +391,7 @@ def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None
                 missing: list[str] = []
                 seen: set[str] = set()
                 all_present = True
-                for path, added in per_file:
+                for path, added, _ in per_file:
                     for fragment in added:
                         found = _seen_earlier(
                             history, j, granularity, fragment,
@@ -422,7 +426,7 @@ def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None
         distinct_global: set[str] = set()
         distinct_by_path: dict[str, set[str]] = {}
         for entry in history:
-            for path, added in entry.additions[granularity]:
+            for path, added, _ in entry.additions[granularity]:
                 if added:
                     distinct_global.update(added)
                     distinct_by_path.setdefault(path, set()).update(added)
@@ -450,6 +454,33 @@ def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None
                     local_pool_size_median=median,
                 )
             )
+    subsumption_violations: list[dict] = []
+    divergent_acceptability: list[dict] = []
+    if Granularity.LINE in config.granularities and Granularity.TOKEN in config.granularities:
+        for entry, line_cls, token_cls in zip(history, classifications[Granularity.LINE],
+                                              classifications[Granularity.TOKEN]):
+            for scope in config.scopes:
+                if line_cls.redundant[scope] and not token_cls.redundant[scope]:
+                    subsumption_violations.append({
+                        "commit_id": entry.commit_id,
+                        "order_index": entry.order_index,
+                        "scope": scope.value,
+                        "deltas": [
+                            {"path": path, "granularity": granularity.value,
+                             "added": added[:NOVEL_FRAGMENT_CAP], "added_count": len(added),
+                             "removed": removed[:NOVEL_FRAGMENT_CAP],
+                             "removed_count": len(removed)}
+                            for granularity in config.granularities
+                            for path, added, removed in entry.additions[granularity]
+                        ],
+                    })
+            if line_cls.acceptable != token_cls.acceptable:
+                divergent_acceptability.append({
+                    "commit_id": entry.commit_id,
+                    "order_index": entry.order_index,
+                    "acceptable_line": line_cls.acceptable,
+                    "acceptable_token": token_cls.acceptable,
+                })
     summary = ProjectSummary(
         project=config.project_name,
         acceptable_commits=acceptable_by_g,
@@ -463,8 +494,8 @@ def oracle_classify(bundle_dir: str | Path, config: AnalysisConfig | None = None
             "warnings": warnings,
             "skipped_oversize_files": skipped_oversize,
             "fallback_tokens": lex_stats.fallback_tokens,
-            "subsumption_violations": [],
-            "divergent_acceptability": [],
+            "subsumption_violations": subsumption_violations,
+            "divergent_acceptability": divergent_acceptability,
         },
         config_echo={**config.echo(), "engine": "oracle"},
         commit_count=len(history),

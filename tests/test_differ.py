@@ -9,7 +9,7 @@ from collections import Counter
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from tempred import differ
@@ -18,6 +18,7 @@ from tempred.differ import (
     bit_lcs_length,
     diff_fragments,
     lcs_length,
+    pair_middles,
     verdict_delta,
 )
 from tempred.fragmenter import Granularity, fragment_lines, lex
@@ -437,3 +438,101 @@ def test_verdict_delta_outcomes():
     delta = verdict_delta(list("abcdefghij") + ["k"], ["n"] + list("jihgfedcba"),
                           frozenset("abcdefghij"))
     assert delta.added == ["n"] and delta.added_count == 10
+
+
+# ---------------------------------------------------------------------------
+# Token middles from line middles: ``pair_middles`` must give the middles of
+# trimming the whole-file token sequences.
+# ---------------------------------------------------------------------------
+
+# Distinct lines that share tokens: the first two lex alike, and the last
+# three overlap, so a token trim can run past a line boundary.
+LINE_ALPHABET = ("int a=1;", "int a = 1;", "a;", "a; b;", "b;")
+RESPACED = {"int a=1;": "int a = 1;", "int a = 1;": "int a=1;"}
+
+
+@st.composite
+def _line_pair(draw) -> tuple[list[str], list[str]]:
+    """A file's lines and a later version: a few line inserts, deletes,
+    replacements and whitespace-only edits, or a fresh file."""
+    lines = st.sampled_from(LINE_ALPHABET)
+    before = draw(st.lists(lines, max_size=12))
+    if draw(st.integers(0, 5)) == 0:
+        return before, draw(st.lists(lines, max_size=12))
+    after = list(before)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("insert", "delete", "replace", "respace")))
+        if kind == "insert":
+            after.insert(draw(st.integers(0, len(after))), draw(lines))
+            continue
+        if not after:
+            continue
+        at = draw(st.integers(0, len(after) - 1))
+        if kind == "delete":
+            del after[at]
+        elif kind == "replace":
+            after[at] = draw(lines)
+        else:
+            after[at] = RESPACED.get(after[at], after[at])
+    return before, after
+
+
+def _tokens(lines: list[str]) -> list[tuple[str, ...]]:
+    return [tuple(lex(line)) for line in lines]
+
+
+def _flat(lines: list[str]) -> list[str]:
+    return [token for line in lines for token in lex(line)]
+
+
+def _window_exhausts(before: list[str], after: list[str]) -> bool:
+    """Whether the token trim of the middle lines alone uses up a side while
+    common suffix lines are left to widen into."""
+    lo, n, m = differ._trim(before, after)
+    old, new = _flat(before[lo:n]), _flat(after[lo:m])
+    return (n < len(before) and (lo < n or lo < m)
+            and differ._trim(old, new)[0] == min(len(old), len(new)))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_line_pair())
+@example((["a;", "b;"], ["a;", "a;", "b;"]))  # a pure insert
+@example((["int a=1;", "b;", "a;"], ["int a=1;", "a;"]))  # a pure delete
+@example((["int a=1;", "b;"], ["int a = 1;", "b;"]))  # whitespace only
+@example((["a; b;", "b;"], ["a; b;", "b;"]))  # equal sides
+@example(([], ["a;"]))  # an empty side
+@example((["a;", "b;", "b;"], ["a; b;", "b;", "b;"]))  # widened twice
+def test_pair_middles_equal_trimming_the_whole_token_sequences(pair):
+    before, after = pair
+    lo, n, m = differ._trim(before, after)
+    flat_before, flat_after = _flat(before), _flat(after)
+    t_lo, t_n, t_m = differ._trim(flat_before, flat_after)
+    lines, tokens = pair_middles(before, after, _tokens(before), _tokens(after))
+    assert lines == (before[lo:n], after[lo:m])
+    assert tokens == (flat_before[t_lo:t_n], flat_after[t_lo:t_m])
+    assert pair_middles(before, after) == (lines, None)
+    # So the pipeline's deltas, diffed from the middles, are the whole files'.
+    assert diff_fragments(*tokens) == diff_fragments(flat_before, flat_after)
+
+
+def _pure_insert(before: list[str], after: list[str]) -> bool:
+    lo, n, m = differ._trim(before, after)
+    return bool(before) and lo == n < m
+
+
+def _pure_delete(before: list[str], after: list[str]) -> bool:
+    return _pure_insert(after, before)
+
+
+@pytest.mark.parametrize("holds", [
+    _pure_insert,
+    _pure_delete,
+    lambda before, after: before != after and _flat(before) == _flat(after),
+    lambda before, after: bool(before) and before == after,
+    lambda before, after: not before or not after,
+    _window_exhausts,
+], ids=["pure-insert", "pure-delete", "whitespace-only", "equal-sides", "empty-side",
+        "prefix-exhausting-window"])
+def test_line_pairs_cover_every_case(holds):
+    find(_line_pair(), lambda pair: holds(*pair),
+         settings=settings(max_examples=2000, database=None))

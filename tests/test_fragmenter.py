@@ -7,7 +7,7 @@ import sysconfig
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempred.fragmenter import (
@@ -320,6 +320,22 @@ def test_fragment_lines_composes_strip_split_trim_filter():
             expected.append(line)
     assert fragment_lines(JAVA_SAMPLE) == expected
     assert "return items.size();" in fragment_lines(JAVA_SAMPLE)
+
+
+line_break_source = st.lists(
+    st.sampled_from(["a;", " b = 1; ", "\t", "  ", "\n", "\r\n", "\r", "\n\n", "\r\r\n",
+                     "// c", "/* x\r\ny */", '"s\r"', "\x0b", "\x0c", "\x85", "\u2028"]),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=1000)
+@given(line_break_source)
+@example("a;\n\n  b;\n")  # no carriage return: the split on "\n" alone
+@example("a;\r\n\rb;\n\r")
+def test_fragment_lines_matches_regex_split_reference(src: str):
+    raw = re.split(r"\r\n|\r|\n", strip_comments(src))
+    assert fragment_lines(src) == [line.strip() for line in raw if line.strip()]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import statistics
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tempred import redundancy
 from tempred.differ import ChangeSet, FileDelta
 from tempred.errors import PipelineOrderError
 from tempred.fragmenter import Granularity
@@ -229,6 +234,15 @@ def test_median_of_even_count_is_mean_of_middle_values():
     )
     local = next(m for m in summary.metrics if m.scope is Scope.LOCAL)
     assert local.local_pool_size_median == 22.5
+
+
+@settings(max_examples=500)
+@given(st.lists(st.integers(0, 2**60), max_size=40))
+def test_local_pool_median_equals_statistics_median(sizes):
+    unsorted = list(sizes)
+    expected = float(statistics.median(sizes)) if sizes else None
+    assert redundancy._median(sizes) == expected
+    assert sizes == unsorted
 
 
 def test_zero_acceptable_commits_reports_undefined_redundancy():

@@ -546,6 +546,52 @@ def test_package_exports_only_the_library_surface():
     assert out.strip() == "[]"
 
 
+def test_run_path_imports_neither_statistics_nor_csv():
+    # Each adds to every run's start-up for a median or for CSV output only.
+    probe = ("import sys, tempred.report; "
+             "print(sorted(m for m in ('statistics', 'csv') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(report_module.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_pre_mode_diffs_only_the_changed_lines_tokens(bundle_writer, monkeypatch):
+    # One line of a 200-line file changes. Lexing sees single lines, and the
+    # pairs handed to the differ are the changed line and its changed tokens.
+    rows = [f"int row{i} = {i};" for i in range(200)]
+    edited = rows[:100] + ["int row100 = -1;"] + rows[101:]
+    text, new_text = "\n".join(rows) + "\n", "\n".join(edited) + "\n"
+    bundle = bundle_writer([
+        {"id": "c0", "timestamp": 1,
+         "files": [{"path": "A.java", "before": None, "after": text}]},
+        {"id": "c1", "timestamp": 2,
+         "files": [{"path": "A.java", "before": text, "after": new_text}]},
+    ])
+    lexed: list[str] = []
+    pairs: list[tuple] = []
+
+    def recording_lex(source, **kwargs):
+        lexed.append(source)
+        return lex(source, **kwargs)
+
+    def recording_verdict_delta(before, after, *args, **kwargs):
+        pairs.append((kwargs["granularity"], list(before), list(after)))
+        return differ_module.verdict_delta(before, after, *args, **kwargs)
+
+    monkeypatch.setattr(report_module, "lex", recording_lex)
+    monkeypatch.setattr(report_module, "verdict_delta", recording_verdict_delta)
+    config = AnalysisConfig(source=str(bundle), bundle=True)
+    report = run_analysis(config)
+    assert lexed and all("\n" not in source for source in lexed)
+    assert pairs[-2:] == [(Granularity.LINE, ["int row100 = 100;"], ["int row100 = -1;"]),
+                          (Granularity.TOKEN, ["100"], ["-", "1"])]
+    assert report.classifications[Granularity.TOKEN][1].acceptable
+    state = report_module._make_state(config)
+    tokens = state.fragments(text).tokens
+    assert len(tokens) == 200 and all(isinstance(line, tuple) for line in tokens)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

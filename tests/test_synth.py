@@ -161,3 +161,40 @@ def test_oracle_diagnostics_match_pipeline(bundle_writer, normalize):
     assert oracle.diagnostics["skipped_oversize_files"] == \
         report.diagnostics["skipped_oversize_files"] != []
     assert oracle.diagnostics["fallback_tokens"] == report.diagnostics["fallback_tokens"] == 10
+    assert oracle.diagnostics == report.diagnostics
+
+    # A new line with no new token: the commit is acceptable as lines only.
+    respaced = bundle_writer([
+        {"id": "c0", "timestamp": 1,
+         "files": [{"path": "A.java", "before": None, "after": "int a=1;\n"}]},
+        {"id": "c1", "timestamp": 2,
+         "files": [{"path": "A.java", "before": "int a=1;\n", "after": "int a = 1;\n"}]},
+    ], name="respaced")
+    config = AnalysisConfig(source=str(respaced), bundle=True, normalize=normalize)
+    report, oracle = run_analysis(config), oracle_classify(respaced, config)
+    assert oracle.diagnostics["divergent_acceptability"] == [
+        {"commit_id": "c1", "order_index": 1, "acceptable_line": True,
+         "acceptable_token": False},
+    ]
+    assert oracle.diagnostics == report.diagnostics
+
+    # In post mode B re-adds a raw line of A whose words were comment text
+    # in A, so c1 is line-redundant but not token-redundant. Its dump lists
+    # A's removed line too.
+    line = " ".join(f"k{i}" for i in range(1, 13)) + " */ s;"
+    commented = bundle_writer([
+        {"id": "c0", "timestamp": 1,
+         "files": [{"path": "A.java", "before": None, "after": f"x;\n/*\n{line}\n"}]},
+        {"id": "c1", "timestamp": 2,
+         "files": [{"path": "A.java", "before": f"x;\n/*\n{line}\n", "after": f"/*\n{line}\n"},
+                   {"path": "B.java", "before": None, "after": f"{line}\n"}]},
+    ], name="commented")
+    config = AnalysisConfig(source=str(commented), bundle=True, normalize=normalize)
+    report, oracle = run_analysis(config), oracle_classify(commented, config)
+    violations = oracle.diagnostics["subsumption_violations"]
+    if normalize == "post":
+        assert [(v["commit_id"], v["scope"]) for v in violations] == [("c1", "global")]
+        assert {d["removed_count"] for d in violations[0]["deltas"]} != {0}
+    else:
+        assert violations == []
+    assert oracle.diagnostics == report.diagnostics
