@@ -28,7 +28,6 @@ from .report import (
     emit_report,
     run_analysis,
 )
-from .synth import oracle_classify
 
 
 def _comma_list(kind):
@@ -89,7 +88,7 @@ def main() -> None:
 @click.option("--format", "output_format", type=click.Choice(["json", "csv", "table"]),
               default="table", show_default=True)
 @click.option("--trace-commits", is_flag=True,
-              help="Include per-commit classifications in JSON output.")
+              help="Keep per-commit classifications and include them in JSON output.")
 @click.option("--diff-size-cap", type=int, default=DEFAULT_DIFF_SIZE_CAP, show_default=True,
               help="Skip files whose fragment count exceeds this.")
 @click.option("--out", default="-", show_default=True, help="Output file, or - for stdout.")
@@ -127,6 +126,8 @@ def export_bundle_cmd(source, out, branch, since, until):
 @click.option("--out", default="-", show_default=True)
 def oracle(source, out, **options):
     """Run the brute-force reference classifier (test/diagnostic use)."""
+    from .synth import oracle_classify  # only this command needs synth
+
     with _user_errors():
         config = AnalysisConfig(source=source, bundle=True, **options)
         _write_output(emit_report(oracle_classify(source, config), "json"), out)

@@ -203,29 +203,42 @@ def _median(sizes: list[int]) -> float | None:
     return float(sizes[mid]) if len(sizes) % 2 else (sizes[mid - 1] + sizes[mid]) / 2
 
 
-def summarize(
-    classifications: dict[Granularity, list[CommitClassification]],
+@dataclass
+class VerdictCounts:
+    """Running verdict totals at one granularity: the acceptable commits,
+    and the redundant commits per scope. A run keeps these, not one
+    classification per commit, unless it traces commits."""
+
+    acceptable: int = 0
+    redundant: dict[Scope, int] = field(default_factory=dict)
+
+    def add(self, classification: CommitClassification) -> None:
+        self.acceptable += classification.acceptable
+        for scope, redundant in classification.redundant.items():
+            self.redundant[scope] = self.redundant.get(scope, 0) + redundant
+
+
+def summarize_counts(
+    counts: dict[Granularity, VerdictCounts],
     pools: dict[Granularity, ScopedPools],
     *,
     project: str = "",
     scopes: tuple[Scope, ...] = ALL_SCOPES,
 ) -> ProjectSummary:
-    """Aggregate per-commit classifications into the per-project metrics table.
+    """The per-project metrics table from each granularity's verdict counts.
 
     The redundancy ratio divides redundant commits by acceptable commits at
     the same granularity and is undefined (None) when nothing was acceptable.
     The local pool median over an even number of files is the mean of the two
     middle values.
     """
-    acceptable = {
-        g: sum(1 for c in cls if c.acceptable) for g, cls in classifications.items()
-    }
+    acceptable = {g: c.acceptable for g, c in counts.items()}
     metrics: list[ScopeMetrics] = []
-    for granularity, cls in classifications.items():
+    for granularity, count in counts.items():
         pool = pools[granularity]
         for scope in scopes:
-            redundant = sum(1 for c in cls if c.redundant.get(scope))
-            ratio = redundant / acceptable[granularity] if acceptable[granularity] else None
+            redundant = count.redundant.get(scope, 0)
+            ratio = redundant / count.acceptable if count.acceptable else None
             if scope is Scope.GLOBAL:
                 pool_size: int | None = pool.global_pool.size
                 median = None
@@ -236,7 +249,7 @@ def summarize(
                 ScopeMetrics(
                     granularity=granularity,
                     scope=scope,
-                    acceptable_commits=acceptable[granularity],
+                    acceptable_commits=count.acceptable,
                     redundant_commits=redundant,
                     temporal_redundancy=ratio,
                     pool_size=pool_size,
@@ -244,3 +257,18 @@ def summarize(
                 )
             )
     return ProjectSummary(project=project, acceptable_commits=acceptable, metrics=metrics)
+
+
+def summarize(
+    classifications: dict[Granularity, list[CommitClassification]],
+    pools: dict[Granularity, ScopedPools],
+    *,
+    project: str = "",
+    scopes: tuple[Scope, ...] = ALL_SCOPES,
+) -> ProjectSummary:
+    """``summarize_counts`` over the counts of per-commit classifications."""
+    counts = {g: VerdictCounts() for g in classifications}
+    for granularity, cls in classifications.items():
+        for c in cls:
+            counts[granularity].add(c)
+    return summarize_counts(counts, pools, project=project, scopes=scopes)

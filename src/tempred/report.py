@@ -44,9 +44,10 @@ from .redundancy import (
     ProjectSummary,
     Scope,
     ScopedPools,
+    VerdictCounts,
     classify_commit,
     index_commit,
-    summarize,
+    summarize_counts,
 )
 
 ALL_GRANULARITIES: tuple[Granularity, ...] = (Granularity.LINE, Granularity.TOKEN)
@@ -314,12 +315,14 @@ def iter_changesets(
 
 @dataclass
 class Report:
-    """Everything a run produces. ``classifications`` is always populated in
-    memory; the trace only reaches serialized output when requested."""
+    """Everything a run produces. ``classifications`` holds one
+    classification per commit and granularity only when commits are traced
+    (``trace_commits``); it is ``None`` otherwise, since the summary needs
+    only the verdict counts."""
 
     project: str
     summary: ProjectSummary
-    classifications: dict[Granularity, list[CommitClassification]]
+    classifications: dict[Granularity, list[CommitClassification]] | None
     diagnostics: dict
     config_echo: dict
     commit_count: int
@@ -360,13 +363,18 @@ def _violation_delta(delta: FileDelta) -> dict:
 
 def analyze_commits(commits: Iterable[CommitRecord], config: AnalysisConfig,
                     warnings: list[str] | None = None) -> Report:
-    """Run classification over an already-open commit stream."""
+    """Run classification over an already-open commit stream.
+
+    Each commit is classified, audited line against token and counted, and
+    its classifications are kept only when ``trace_commits`` is set, so an
+    untraced run's memory does not grow with the number of commits."""
     warnings = warnings if warnings is not None else []
     state = _make_state(config)
     pools = {g: ScopedPools.create(g) for g in config.granularities}
-    classifications: dict[Granularity, list[CommitClassification]] = {
-        g: [] for g in config.granularities
-    }
+    counts = {g: VerdictCounts() for g in config.granularities}
+    classifications: dict[Granularity, list[CommitClassification]] | None = (
+        {g: [] for g in config.granularities} if config.trace_commits else None
+    )
     subsumption_violations: list[dict] = []
     divergent_acceptability: list[dict] = []
     audit_pair = (
@@ -408,10 +416,12 @@ def analyze_commits(commits: Iterable[CommitRecord], config: AnalysisConfig,
                 )
         for granularity in config.granularities:
             index_commit(pools[granularity], changes, granularity)
-            classifications[granularity].append(per_commit[granularity])
+            counts[granularity].add(per_commit[granularity])
+            if classifications is not None:
+                classifications[granularity].append(per_commit[granularity])
 
-    summary = summarize(
-        classifications, pools, project=config.project_name, scopes=config.scopes
+    summary = summarize_counts(
+        counts, pools, project=config.project_name, scopes=config.scopes
     )
     diagnostics = {
         "warnings": warnings,

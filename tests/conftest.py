@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import subprocess
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable
 
@@ -18,7 +19,7 @@ from tempred.redundancy import (
     classify_commit,
     index_commit,
 )
-from tempred.report import AnalysisConfig, iter_changesets
+from tempred.report import AnalysisConfig, Report, iter_changesets, run_analysis
 
 # Populated by tests/test_acceptance.py; printed once at the end of the run so
 # each criterion gets its own visible pass/fail line.
@@ -58,6 +59,18 @@ def reference_classify(
         for g in config.granularities:
             index_commit(pools[g], changes, g)
     return classifications, pools
+
+
+def assert_untraced_matches(config: AnalysisConfig, *references: Report) -> None:
+    """Run ``config`` without the trace. The report must keep no
+    classifications, and its summary, diagnostics and commit count must
+    equal each reference report's."""
+    untraced = run_analysis(replace(config, trace_commits=False))
+    assert untraced.classifications is None
+    for reference in references:
+        assert untraced.summary == reference.summary
+        assert untraced.diagnostics == reference.diagnostics
+        assert untraced.commit_count == reference.commit_count
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

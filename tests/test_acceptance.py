@@ -18,7 +18,13 @@ from tempred.redundancy import Scope, ScopedPools, index_commit
 from tempred.report import AnalysisConfig, Report, emit_report, iter_changesets, run_analysis
 from tempred.synth import HistorySpec, generate_history, oracle_classify
 
-from conftest import GitRepoBuilder, check_pool_invariants, record_criterion, write_bundle
+from conftest import (
+    GitRepoBuilder,
+    assert_untraced_matches,
+    check_pool_invariants,
+    record_criterion,
+    write_bundle,
+)
 
 LINE, TOKEN = Granularity.LINE, Granularity.TOKEN
 GLOBAL, LOCAL = Scope.GLOBAL, Scope.LOCAL
@@ -48,6 +54,7 @@ def criterion(number: str, title: str):
 # ---------------------------------------------------------------------------
 
 _REPORT_CACHE: dict[str, Report] = {}
+_ORACLE_CACHE: dict[str, Report] = {}
 
 
 def corpus_spec(index: int) -> HistorySpec:
@@ -72,13 +79,22 @@ def corpus(tmp_path_factory) -> list[Path]:
     return bundles
 
 
+def _traced_config(bundle: Path) -> AnalysisConfig:
+    return AnalysisConfig(source=str(bundle), bundle=True, trace_commits=True)
+
+
 def _analyze(bundle: Path) -> Report:
     key = str(bundle)
     if key not in _REPORT_CACHE:
-        _REPORT_CACHE[key] = run_analysis(
-            AnalysisConfig(source=key, bundle=True, trace_commits=True)
-        )
+        _REPORT_CACHE[key] = run_analysis(_traced_config(bundle))
     return _REPORT_CACHE[key]
+
+
+def _oracle(bundle: Path) -> Report:
+    key = str(bundle)
+    if key not in _ORACLE_CACHE:
+        _ORACLE_CACHE[key] = oracle_classify(bundle, _traced_config(bundle))
+    return _ORACLE_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +107,19 @@ def test_incremental_pipeline_equals_bruteforce_oracle(corpus):
     started = time.perf_counter()
     for bundle in corpus:
         report = _analyze(bundle)
-        oracle = oracle_classify(
-            bundle, AnalysisConfig(source=str(bundle), bundle=True, trace_commits=True)
-        )
+        oracle = _oracle(bundle)
         assert report.classifications == oracle.classifications, f"mismatch in {bundle}"
         assert report.summary == oracle.summary, f"summary mismatch in {bundle}"
     elapsed = time.perf_counter() - started
     print(f"criterion 1: {len(corpus)} histories compared in {elapsed:.1f}s")
     assert elapsed < 60.0, f"oracle equivalence took {elapsed:.1f}s (budget 60s)"
+
+
+def test_untraced_pipeline_equals_bruteforce_oracle(corpus):
+    # Criterion 1 compares the traced runs. An untraced run keeps verdict
+    # counts alone, and they must give the same report.
+    for bundle in corpus:
+        assert_untraced_matches(_traced_config(bundle), _analyze(bundle), _oracle(bundle))
 
 
 def test_corpus_needs_no_diff_fallback(corpus):
@@ -143,7 +164,7 @@ def test_construction_extremes(tmp_path):
                     locality_bias=0.5),
         tmp_path / "full",
     )
-    report = run_analysis(AnalysisConfig(source=str(full), bundle=True))
+    report = run_analysis(AnalysisConfig(source=str(full), bundle=True, trace_commits=True))
     for granularity in (LINE, TOKEN):
         cls = [c for c in report.classifications[granularity] if c.acceptable]
         assert len(cls) >= 2
@@ -252,7 +273,7 @@ def test_two_file_worked_example(tmp_path):
             ]},
         ],
     )
-    report = run_analysis(AnalysisConfig(source=str(bundle), bundle=True))
+    report = run_analysis(AnalysisConfig(source=str(bundle), bundle=True, trace_commits=True))
     for granularity in (LINE, TOKEN):
         cls = report.classifications[granularity]
         assert cls[1].acceptable

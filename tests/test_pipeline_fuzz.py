@@ -23,6 +23,8 @@ from tempred.history import (
 from tempred.report import AnalysisConfig, report_to_dict, run_analysis
 from tempred.synth import oracle_classify
 
+from conftest import assert_untraced_matches
+
 _SNIPPETS = [
     "int a = 1;",
     "int b = 2; // trailing note",
@@ -83,6 +85,7 @@ def test_pipeline_matches_oracle_on_messy_content(tmp_path: Path, normalize: str
         oracle = oracle_classify(bundle, config)
         assert report.classifications == oracle.classifications, (normalize, seed)
         assert report.summary == oracle.summary, (normalize, seed)
+        assert_untraced_matches(config, report, oracle)
 
 
 def test_messy_content_survives_git_and_bundle_round_trip(git_repo, tmp_path):

@@ -8,7 +8,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from tempred.redundancy import NOVEL_FRAGMENT_CAP, Scope
 from tempred.report import (
     POST,
     AnalysisConfig,
+    analyze_commits,
     emit_report,
     format_percent,
     iter_changesets,
@@ -35,9 +38,9 @@ from tempred.report import (
     report_to_dict,
     run_analysis,
 )
-from tempred.synth import HistorySpec, generate_history, oracle_classify
+from tempred.synth import HistorySpec, _Generator, generate_history, oracle_classify
 
-from conftest import GitRepoBuilder
+from conftest import GitRepoBuilder, assert_untraced_matches
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +144,38 @@ def test_repeated_runs_are_byte_identical(small_bundle):
     assert first == second
 
 
+def test_untraced_report_keeps_no_classifications_and_renders(small_bundle):
+    config = AnalysisConfig(source=str(small_bundle), bundle=True)
+    untraced = run_analysis(config)
+    traced = run_analysis(replace(config, trace_commits=True))
+    assert untraced.classifications is None
+    traced_json = report_to_dict(traced)
+    del traced_json["commits"]
+    assert json.loads(emit_report(untraced, "json")) == traced_json
+    for output_format in ("csv", "table"):
+        assert emit_report(untraced, output_format) == emit_report(traced, output_format)
+
+
+@pytest.mark.parametrize("commit_count", [2000, 4000])
+def test_untraced_run_retains_no_per_commit_memory(commit_count):
+    # Every line a commit adds after the first was added before, so the
+    # pools stop growing. What the report holds must not grow with the
+    # history either. The peak still grows, since files grow by about one
+    # line per edit and the text cache holds the longer versions.
+    commits = _Generator(HistorySpec(seed=3, commit_count=commit_count, file_count=40,
+                                     reuse_probability=1.0)).build()
+    config = AnalysisConfig(source="saturated", bundle=True)
+    tracemalloc.start()
+    try:
+        report = analyze_commits(commits, config)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert report.commit_count == commit_count
+    assert retained < 64 * 2**10, f"{retained / 2**10:.1f} KiB"
+
+
 def test_csv_has_one_row_per_project_granularity_scope(small_bundle):
     report = run_analysis(AnalysisConfig(source=str(small_bundle), bundle=True))
     lines = emit_report([report, report], "csv").strip().splitlines()
@@ -202,7 +237,8 @@ def test_json_ratios_stay_within_unit_interval(small_bundle):
 
 def test_scope_selection_limits_classification_work(small_bundle):
     report = run_analysis(
-        AnalysisConfig(source=str(small_bundle), bundle=True, scopes=(Scope.GLOBAL,))
+        AnalysisConfig(source=str(small_bundle), bundle=True, scopes=(Scope.GLOBAL,),
+                       trace_commits=True)
     )
     for cls in report.classifications[Granularity.LINE]:
         assert Scope.LOCAL not in cls.redundant
@@ -263,7 +299,7 @@ def test_post_mode_ignores_comment_only_edits(bundle_writer):
         ]
     )
     report = run_analysis(
-        AnalysisConfig(source=str(bundle), bundle=True, normalize="post")
+        AnalysisConfig(source=str(bundle), bundle=True, normalize="post", trace_commits=True)
     )
     line_cls = report.classifications[Granularity.LINE]
     # The raw-line diff sees a changed line, but its replacement differs only
@@ -284,7 +320,7 @@ def test_pre_mode_makes_comment_only_edits_invisible(bundle_writer):
              "files": [{"path": "A.java", "before": before, "after": after}]},
         ]
     )
-    report = run_analysis(AnalysisConfig(source=str(bundle), bundle=True))
+    report = run_analysis(AnalysisConfig(source=str(bundle), bundle=True, trace_commits=True))
     line_cls = report.classifications[Granularity.LINE]
     assert not line_cls[1].acceptable
 
@@ -296,7 +332,7 @@ def test_oversize_files_are_skipped_with_diagnostics(bundle_writer):
           "files": [{"path": "A.java", "before": None, "after": big}]}]
     )
     report = run_analysis(
-        AnalysisConfig(source=str(bundle), bundle=True, diff_size_cap=10)
+        AnalysisConfig(source=str(bundle), bundle=True, diff_size_cap=10, trace_commits=True)
     )
     assert report.diagnostics["skipped_oversize_files"]
     assert not report.classifications[Granularity.LINE][0].acceptable
@@ -515,6 +551,7 @@ def test_file_over_the_cap_at_one_granularity_is_skipped_at_both(bundle_writer):
     oracle = oracle_classify(bundle, config)
     assert report.classifications == oracle.classifications
     assert report.summary == oracle.summary
+    assert_untraced_matches(config, report, oracle)
 
 
 def test_no_module_imports_a_private_name_from_another():
@@ -541,6 +578,16 @@ def test_package_exports_only_the_library_surface():
     probe = ("import sys, tempred; "
              "print(sorted(m for m in ('tempred.synth', 'tempred.cli') if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(Path(tempred.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_cli_imports_neither_synth_nor_statistics():
+    # Only `tempred oracle` needs the generator and the oracle.
+    probe = ("import sys, tempred.cli; "
+             "print(sorted(m for m in ('tempred.synth', 'statistics') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(report_module.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
@@ -586,7 +633,7 @@ def test_pre_mode_diffs_only_the_changed_lines_tokens(bundle_writer, monkeypatch
     assert lexed and all("\n" not in source for source in lexed)
     assert pairs[-2:] == [(Granularity.LINE, ["int row100 = 100;"], ["int row100 = -1;"]),
                           (Granularity.TOKEN, ["100"], ["-", "1"])]
-    assert report.classifications[Granularity.TOKEN][1].acceptable
+    assert report.summary.acceptable_commits[Granularity.TOKEN] == 2
     state = report_module._make_state(config)
     tokens = state.fragments(text).tokens
     assert len(tokens) == 200 and all(isinstance(line, tuple) for line in tokens)

@@ -14,6 +14,8 @@ from tempred.redundancy import Scope
 from tempred.report import AnalysisConfig, run_analysis
 from tempred.synth import HistorySpec, generate_history, oracle_classify
 
+from conftest import assert_untraced_matches
+
 
 def _bundle_files(path: Path) -> dict[str, bytes]:
     return {
@@ -56,7 +58,7 @@ def test_full_reuse_makes_every_later_acceptable_commit_redundant(tmp_path):
                     fragment_alphabet_size=100, reuse_probability=1.0),
         tmp_path / "r1",
     )
-    report = run_analysis(AnalysisConfig(source=str(bundle), bundle=True))
+    report = run_analysis(AnalysisConfig(source=str(bundle), bundle=True, trace_commits=True))
     for granularity in (Granularity.LINE, Granularity.TOKEN):
         cls = report.classifications[granularity]
         acceptable = [c for c in cls if c.acceptable]
@@ -143,6 +145,7 @@ def test_oracle_agrees_with_pipeline_on_a_mixed_history(tmp_path, window):
     assert report.commit_count == oracle.commit_count == expected
     assert report.classifications == oracle.classifications
     assert report.summary == oracle.summary
+    assert_untraced_matches(config, report, oracle)
 
 
 @pytest.mark.parametrize("normalize", ["pre", "post"])

@@ -19,7 +19,7 @@ from tempred import report as report_module
 from tempred.differ import diff_fragments, verdict_delta
 from tempred.fragmenter import Granularity, lex
 from tempred.history import CommitRecord, FileChange
-from tempred.redundancy import Scope, ScopedPools, index_commit, summarize
+from tempred.redundancy import Scope, ScopedPools, classify_commit, index_commit, summarize
 from tempred.report import AnalysisConfig, analyze_commits, open_source
 
 from conftest import reference_classify
@@ -38,14 +38,29 @@ def _pool_state(pools: dict[Granularity, ScopedPools]) -> dict:
     }
 
 
+def record_classifications(patch, config: AnalysisConfig) -> dict[Granularity, list]:
+    """Record every classification ``analyze_commits`` makes, also the ones
+    an untraced run counts and drops."""
+    recorded: dict[Granularity, list] = {g: [] for g in config.granularities}
+
+    def record(pools, changes, granularity, **kwargs):
+        classification = classify_commit(pools, changes, granularity, **kwargs)
+        recorded[granularity].append(classification)
+        return classification
+
+    patch.setattr(report_module, "classify_commit", record)
+    return recorded
+
+
 def assert_matches_reference(config: AnalysisConfig, monkeypatch, commits=None):
     """Run ``analyze_commits`` with the trace on and off, and the all-diff
     reference, on the same stream (``commits``, or the configured source
     opened anew each time). With the trace on, every classification must
-    equal the reference's; with it off, every one but its ``added_count``,
-    which is ``None``. Both runs must fill every pool entry, in order, as
-    the reference does, and fall back to the full diff on the same pairs.
-    Returns the untraced report."""
+    equal the reference's and be kept in the report; with it off, every one
+    but its ``added_count``, which is ``None``, and the report keeps none.
+    Both runs must fill every pool entry, in order, as the reference does,
+    and fall back to the full diff on the same pairs. Returns the untraced
+    report."""
     def stream():
         return commits if commits is not None else open_source(config)
 
@@ -62,8 +77,10 @@ def assert_matches_reference(config: AnalysisConfig, monkeypatch, commits=None):
 
         with monkeypatch.context() as patch:
             patch.setattr(report_module, "index_commit", capture)
+            recorded = record_classifications(patch, config)
             report = analyze_commits(stream(), replace(config, trace_commits=trace_commits))
-        assert report.classifications == want
+        assert recorded == want
+        assert report.classifications == (want if trace_commits else None)
         assert report.summary == summarize(expected, pools, project=config.project_name,
                                            scopes=config.scopes)
         if report.commit_count:
@@ -240,9 +257,12 @@ def test_untraced_rewrite_runs_no_myers_and_no_lcs(monkeypatch):
 
     monkeypatch.setattr(differ, "_middle_edits", forbidden)
     monkeypatch.setattr(differ, "bit_lcs_length", forbidden)
-    report = analyze_commits(commits, AnalysisConfig(source="rewrite", bundle=True))
+    config = AnalysisConfig(source="rewrite", bundle=True)
+    recorded = record_classifications(monkeypatch, config)
+    report = analyze_commits(commits, config)
     assert report.diff_fallbacks == 0
-    for cls in report.classifications.values():
+    assert report.classifications is None
+    for cls in recorded.values():
         assert [c.acceptable for c in cls] == [True, True, True]
         assert [c.redundant[Scope.GLOBAL] for c in cls] == [False, False, True]
         assert all(c.added_count is None for c in cls)
