@@ -86,12 +86,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, pairwise
 from math import isqrt
-from typing import Container, Sequence, TYPE_CHECKING
+from typing import Container, Sequence
 
 from .fragmenter import Granularity
-
-if TYPE_CHECKING:
-    from .history import CommitRecord
 
 # Columns per block of ``bit_lcs_length``. It bounds the memory of the match
 # masks.
@@ -135,17 +132,6 @@ class FileDelta:
         if self.sides is None:
             return self
         return diff_fragments(*self.sides, path=self.path, granularity=self.granularity)
-
-
-@dataclass
-class ChangeSet:
-    """All per-file deltas of one commit, across granularities."""
-
-    commit: "CommitRecord"
-    deltas: list[FileDelta] = field(default_factory=list)
-
-    def deltas_for(self, granularity: Granularity) -> list[FileDelta]:
-        return [d for d in self.deltas if d.granularity == granularity]
 
 
 def _trim(before: Sequence[str], after: Sequence[str]) -> tuple[int, int, int]:

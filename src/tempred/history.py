@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import re
 import subprocess
+import sys
 import tempfile
 from collections import deque
 from contextlib import closing
@@ -39,9 +39,12 @@ from .errors import (
     RepositoryNotFoundError,
 )
 
-log = logging.getLogger(__name__)
-
 WarnFn = Callable[[str], None]
+
+
+def _warn_stderr(message: str) -> None:
+    """The default warning sink: the message as one line on stderr."""
+    sys.stderr.write(message + "\n")
 
 MANIFEST_NAME = "manifest.json"
 BLOBS_DIR = "blobs"
@@ -191,7 +194,7 @@ def load_history_bundle(
     the inclusive ``since``/``until`` window is skipped unread, as in
     ``open_repository``; the rest are read lazily, where a missing blob aborts.
     """
-    warn = on_warning or log.warning
+    warn = on_warning or _warn_stderr
     bundle_dir = Path(bundle_dir)
     manifest_path = bundle_dir / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -577,7 +580,7 @@ def open_repository(
     the same path, is taken from that side instead of read again
     (``_BlobPlan``).
     """
-    warn = on_warning or log.warning
+    warn = on_warning or _warn_stderr
     repo = Path(path)
     # Exit status 1 means the repository has no such commit; any other
     # failure means there is no repository.

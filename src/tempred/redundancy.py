@@ -12,11 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from itertools import islice
+from typing import TYPE_CHECKING
 
-from .differ import ChangeSet
 from .errors import PipelineOrderError
 from .fragmenter import Granularity
+
+if TYPE_CHECKING:
+    from .differ import FileDelta
+    from .history import CommitRecord
 
 # How many missing fragments a classification keeps for reporting.
 NOVEL_FRAGMENT_CAP = 10
@@ -34,7 +38,6 @@ ALL_SCOPES: tuple[Scope, ...] = (Scope.GLOBAL, Scope.LOCAL)
 class FragmentPool:
     """Distinct fragments seen so far, each with the commit that first added it."""
 
-    granularity: Granularity
     first_seen: dict[str, int] = field(default_factory=dict)
 
     def __contains__(self, fragment: str) -> bool:
@@ -61,7 +64,15 @@ class ScopedPools:
 
     @classmethod
     def create(cls, granularity: Granularity) -> "ScopedPools":
-        return cls(granularity=granularity, global_pool=FragmentPool(granularity))
+        return cls(granularity=granularity, global_pool=FragmentPool())
+
+
+@dataclass
+class ChangeSet:
+    """One commit's per-file deltas, listed per granularity in file order."""
+
+    commit: CommitRecord
+    deltas: dict[Granularity, list[FileDelta]] = field(default_factory=dict)
 
 
 @dataclass
@@ -82,22 +93,6 @@ class CommitClassification:
     added_count: int | None
     redundant: dict[Scope, bool]
     novel_fragments: dict[Scope, list[str]]
-
-
-def _novel_in(pool: FragmentPool | None, fragments: Iterable[str], seen: set[str],
-              out: list[str]) -> bool:
-    """Append missing fragments to ``out`` (deduped, capped). Returns True if
-    every fragment is present in the pool."""
-    all_present = True
-    for fragment in fragments:
-        if pool is not None and fragment in pool:
-            continue
-        all_present = False
-        if fragment not in seen:
-            seen.add(fragment)
-            if len(out) < NOVEL_FRAGMENT_CAP:
-                out.append(fragment)
-    return all_present
 
 
 def classify_commit(
@@ -122,7 +117,7 @@ def classify_commit(
             f"commit {commit.order_index} ({commit.commit_id})"
         )
 
-    deltas = changes.deltas_for(granularity)
+    deltas = changes.deltas[granularity]
     counts = [d.added_count for d in deltas]
     added_count = sum(counts) if count and None not in counts else None
     acceptable = any(d.adds for d in deltas)
@@ -131,16 +126,17 @@ def classify_commit(
     novel: dict[Scope, list[str]] = {}
 
     for scope in scopes:
-        out: list[str] = []
-        seen: set[str] = set()
-        all_present = True
+        # The added fragments not in the pool, in first-occurrence order.
+        missing: dict[str, None] = {}
         for delta in deltas:
             pool = (pools.global_pool if scope is Scope.GLOBAL
                     else pools.local_pools.get(delta.path))
-            if not _novel_in(pool, delta.added, seen, out):
-                all_present = False
-        redundant[scope] = acceptable and all_present
-        novel[scope] = out
+            known = pool.first_seen if pool is not None else {}
+            for fragment in delta.added:
+                if fragment not in known:
+                    missing[fragment] = None
+        redundant[scope] = acceptable and not missing
+        novel[scope] = list(islice(missing, NOVEL_FRAGMENT_CAP))
 
     return CommitClassification(
         commit_id=commit.commit_id,
@@ -160,12 +156,12 @@ def index_commit(pools: ScopedPools, changes: ChangeSet, granularity: Granularit
     survives file deletion (path identity, no rename following).
     """
     order_index = changes.commit.order_index
-    for delta in changes.deltas_for(granularity):
+    for delta in changes.deltas[granularity]:
         if not delta.added:
             continue
         local = pools.local_pools.get(delta.path)
         if local is None:
-            local = pools.local_pools[delta.path] = FragmentPool(granularity)
+            local = pools.local_pools[delta.path] = FragmentPool()
         for fragment in delta.added:
             pools.global_pool.add(fragment, order_index)
             local.add(fragment, order_index)

@@ -17,7 +17,7 @@ from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .differ import ChangeSet, FileDelta, diff_fragments, pair_middles, verdict_delta
+from .differ import FileDelta, diff_fragments, pair_middles, verdict_delta
 from .errors import ConfigurationError
 from .fragmenter import (
     Granularity,
@@ -40,6 +40,7 @@ from .history import (
 from .redundancy import (
     ALL_SCOPES,
     NOVEL_FRAGMENT_CAP,
+    ChangeSet,
     CommitClassification,
     ProjectSummary,
     Scope,
@@ -252,11 +253,12 @@ def _make_state(config: AnalysisConfig) -> _PipelineState:
 def _commit_changes(commit: CommitRecord, config: AnalysisConfig,
                     state: _PipelineState,
                     pools: dict[Granularity, ScopedPools] | None = None) -> ChangeSet:
-    """One commit's deltas. Given the pools the commit will be classified
-    against, a ``pre``-mode pair takes ``verdict_delta``'s deltas, which
-    classify and index as the full diff's would, and are counted only when
-    the trace prints the counts; ``post`` mode filters the full diff's
-    fragments, so it always diffs."""
+    """One commit's deltas: a list per analyzed granularity, in file order.
+    Given the pools the commit will be classified against, a ``pre``-mode
+    pair takes ``verdict_delta``'s deltas, which classify and index as the
+    full diff's would, and are counted only when the trace prints the
+    counts; ``post`` mode filters the full diff's fragments, so it always
+    diffs."""
     changes = ChangeSet(commit=commit)
     fast = pools is not None and config.normalize == PRE
     retained = filter_files(commit.file_changes, state.rules)
@@ -272,6 +274,7 @@ def _commit_changes(commit: CommitRecord, config: AnalysisConfig,
     pairs = [None if max(size) > config.diff_size_cap else state.pair(*side)
              for side, size in zip(sides, sizes)]
     for granularity in config.granularities:
+        deltas = changes.deltas[granularity] = []
         slot = 0 if granularity is Granularity.LINE else 1
         for fc, size, pair in zip(retained, sizes, pairs):
             if size[slot] > config.diff_size_cap:
@@ -297,7 +300,7 @@ def _commit_changes(commit: CommitRecord, config: AnalysisConfig,
                 delta = diff_fragments(before, after, path=fc.path, granularity=granularity)
             if config.normalize == POST:
                 post_filter_delta(delta)
-            changes.deltas.append(delta)
+            deltas.append(delta)
     return changes
 
 
@@ -402,7 +405,8 @@ def analyze_commits(commits: Iterable[CommitRecord], config: AnalysisConfig,
                             "commit_id": commit.commit_id,
                             "order_index": commit.order_index,
                             "scope": scope.value,
-                            "deltas": [_violation_delta(d) for d in changes.deltas],
+                            "deltas": [_violation_delta(d) for deltas in changes.deltas.values()
+                                       for d in deltas],
                         }
                     )
             if line_cls.acceptable != token_cls.acceptable:

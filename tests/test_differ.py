@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from tempred import differ
 from tempred.differ import (
-    ChangeSet,
     bit_lcs_length,
     diff_fragments,
     lcs_length,
@@ -22,7 +21,7 @@ from tempred.differ import (
     verdict_delta,
 )
 from tempred.fragmenter import Granularity, fragment_lines, lex
-from tempred.history import CommitRecord, load_history_bundle
+from tempred.history import load_history_bundle
 from tempred.synth import HistorySpec, generate_history
 
 # ---------------------------------------------------------------------------
@@ -296,17 +295,6 @@ def test_output_is_deterministic():
         second = diff_fragments(list(a), list(b))
         assert first.added == second.added
         assert first.removed == second.removed
-
-
-def test_changeset_groups_deltas_by_granularity():
-    commit = CommitRecord(commit_id="c1", order_index=0, timestamp=0)
-    line_delta = diff_fragments(["a;"], ["a;", "b;"], path="A.java",
-                                granularity=Granularity.LINE)
-    token_delta = diff_fragments(["a"], ["a", "b"], path="A.java",
-                                 granularity=Granularity.TOKEN)
-    changes = ChangeSet(commit=commit, deltas=[line_delta, token_delta])
-    assert changes.deltas_for(Granularity.LINE) == [line_delta]
-    assert changes.deltas_for(Granularity.TOKEN) == [token_delta]
 
 
 # ---------------------------------------------------------------------------

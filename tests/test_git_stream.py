@@ -453,3 +453,17 @@ def test_cli_reports_git_failure_without_traceback(git_repo, tmp_path, command):
     assert proc.returncode == 1
     assert proc.stderr.startswith("Error: git cat-file --batch: blob ")
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_prints_binary_file_warning_on_stderr(git_repo, tmp_path):
+    # With no sink given, a stream's warnings are written to stderr, one a line.
+    git_repo.commit({"A.java": "int a = 1;\n"})
+    sha = git_repo.commit_binary("img.bin", b"\x89PNG\x00\x01")
+    env = {**os.environ, "PYTHONPATH": str(Path(tempred.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tempred.cli", "export-bundle", "--source", str(git_repo.path),
+         "--out", "bundle-out"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"skipping binary file img.bin in commit {sha}\n"

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempred import redundancy
-from tempred.differ import ChangeSet, FileDelta
+from tempred.differ import FileDelta
 from tempred.errors import PipelineOrderError
 from tempred.fragmenter import Granularity
 from tempred.history import CommitRecord
 from tempred.redundancy import (
+    ChangeSet,
     CommitClassification,
     FragmentPool,
     Scope,
@@ -43,7 +44,7 @@ def make_changes(order_index: int, per_file_added: dict[str, list[str]],
     for path, gone in removed.items():
         if path not in per_file_added:
             deltas.append(FileDelta(path=path, granularity=LINE, added=[], removed=list(gone)))
-    return ChangeSet(commit=commit, deltas=deltas)
+    return ChangeSet(commit=commit, deltas={LINE: deltas})
 
 
 def test_first_commit_is_acceptable_but_not_redundant():
@@ -144,6 +145,25 @@ def test_same_commit_additions_do_not_make_each_other_redundant():
     assert cls.redundant[Scope.GLOBAL] is False
 
 
+def test_novel_fragments_span_files_deduped_in_order_and_capped():
+    # "x" is in A's local pool, so it is novel locally only in B. "n2" and
+    # "n1" repeat; each counts once, where it first occurs.
+    pools = ScopedPools.create(LINE)
+    seed = make_changes(0, {"A.java": ["x", "y"]})
+    classify_commit(pools, seed, LINE)
+    index_commit(pools, seed, LINE)
+    fresh = [f"m{i}" for i in range(redundancy.NOVEL_FRAGMENT_CAP)]
+    changes = make_changes(1, {"A.java": ["n1", "x", "n2", "n1"],
+                               "B.java": ["x", "n2", *fresh, "n1"]})
+    cls = classify_commit(pools, changes, LINE)
+    assert cls.redundant == {Scope.GLOBAL: False, Scope.LOCAL: False}
+    cap = redundancy.NOVEL_FRAGMENT_CAP
+    assert cls.novel_fragments == {
+        Scope.GLOBAL: ["n1", "n2", *fresh][:cap],
+        Scope.LOCAL: ["n1", "n2", "x", *fresh][:cap],
+    }
+
+
 def test_local_pool_created_on_first_addition_only():
     pools = ScopedPools.create(LINE)
     removal_only = make_changes(0, {}, {"A.java": ["x;"]})
@@ -207,7 +227,7 @@ def _classification(order_index: int, acceptable: bool, redundant: dict) -> Comm
 def _pools_with_local_sizes(sizes: list[int]) -> ScopedPools:
     pools = ScopedPools.create(LINE)
     for i, size in enumerate(sizes):
-        pool = FragmentPool(LINE)
+        pool = FragmentPool()
         for k in range(size):
             pool.add(f"f{i}:{k}", 0)
             pools.global_pool.add(f"f{i}:{k}", 0)

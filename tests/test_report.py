@@ -524,6 +524,42 @@ def test_subsumption_violation_deltas_are_capped(bundle_writer, schema):
     assert delta_schema["removed"]["maxItems"] == NOVEL_FRAGMENT_CAP
 
 
+def test_changeset_groups_deltas_by_granularity(bundle_writer):
+    # Each analyzed granularity gets one list of the commit's file deltas,
+    # in file order, with the granularities in the configured order.
+    bundle = bundle_writer([
+        {"id": "c0", "timestamp": 1,
+         "files": [{"path": "B.java", "before": None, "after": "int b;\n"},
+                   {"path": "A.java", "before": None, "after": "int a;\n"}]},
+    ])
+    config = AnalysisConfig(source=str(bundle), bundle=True, granularities=("token", "line"))
+    [changes] = iter_changesets(load_history_bundle(bundle), config)
+    assert list(changes.deltas) == [Granularity.TOKEN, Granularity.LINE]
+    for granularity, deltas in changes.deltas.items():
+        assert [(d.path, d.granularity) for d in deltas] == [
+            ("B.java", granularity), ("A.java", granularity)]
+
+
+def test_subsumption_violation_lists_line_then_token_deltas_in_file_order(bundle_writer):
+    # The history of test_subsumption_violation_deltas_are_capped, with the
+    # violating line added to two files, listed out of name order: the dump
+    # gives every line delta, then every token delta, each in file order.
+    line = " ".join(f"k{i}" for i in range(1, 13)) + " */ s;"
+    bundle = bundle_writer([
+        {"id": "c0", "timestamp": 1,
+         "files": [{"path": "A.java", "before": None, "after": f"/*\n{line}\n"}]},
+        {"id": "c1", "timestamp": 2,
+         "files": [{"path": "D.java", "before": None, "after": f"{line}\n"},
+                   {"path": "B.java", "before": None, "after": f"{line}\n"}]},
+    ])
+    report = run_analysis(AnalysisConfig(source=str(bundle), bundle=True, normalize="post"))
+    violations = report.diagnostics["subsumption_violations"]
+    assert [(v["commit_id"], v["scope"]) for v in violations] == [("c1", "global")]
+    assert [(d["granularity"], d["path"]) for d in violations[0]["deltas"]] == [
+        ("line", "D.java"), ("line", "B.java"), ("token", "D.java"), ("token", "B.java"),
+    ]
+
+
 def test_file_over_the_cap_at_one_granularity_is_skipped_at_both(bundle_writer):
     # A has 3 lines and 33 tokens: over a cap of 30 as tokens only. It must
     # reach neither pool, or B re-adding two of its lines would be
@@ -538,7 +574,7 @@ def test_file_over_the_cap_at_one_granularity_is_skipped_at_both(bundle_writer):
     config = AnalysisConfig(source=str(bundle), bundle=True, diff_size_cap=30,
                             trace_commits=True)
     changes = list(iter_changesets(load_history_bundle(bundle), config))
-    assert changes[0].deltas == []
+    assert changes[0].deltas == {Granularity.LINE: [], Granularity.TOKEN: []}
     report = run_analysis(config)
     assert report.diagnostics["skipped_oversize_files"] == [
         {"commit_id": "c0", "path": "A.java", "granularity": "token", "fragments": 33},
@@ -575,32 +611,38 @@ def test_package_exports_only_the_library_surface():
     }
     for name in tempred.__all__:
         assert getattr(tempred, name) is not None
-    probe = ("import sys, tempred; "
-             "print(sorted(m for m in ('tempred.synth', 'tempred.cli') if m in sys.modules))")
-    env = {**os.environ, "PYTHONPATH": str(Path(tempred.__file__).resolve().parents[1])}
+    assert _loaded_by("import tempred", "tempred.synth", "tempred.cli") == []
+
+
+def _loaded_by(statement: str, *modules: str) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after ``statement``."""
+    probe = f"import sys; {statement}; print(sorted(m for m in {modules!r} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(report_module.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out)
 
 
 def test_cli_imports_neither_synth_nor_statistics():
     # Only `tempred oracle` needs the generator and the oracle.
-    probe = ("import sys, tempred.cli; "
-             "print(sorted(m for m in ('tempred.synth', 'statistics') if m in sys.modules))")
-    env = {**os.environ, "PYTHONPATH": str(Path(report_module.__file__).resolve().parents[1])}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _loaded_by("import tempred.cli", "tempred.synth", "statistics") == []
 
 
 def test_run_path_imports_neither_statistics_nor_csv():
-    # Each adds to every run's start-up for a median or for CSV output only.
-    probe = ("import sys, tempred.report; "
-             "print(sorted(m for m in ('statistics', 'csv') if m in sys.modules))")
-    env = {**os.environ, "PYTHONPATH": str(Path(report_module.__file__).resolve().parents[1])}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    # Each adds to every run's start-up: for a median, for CSV output only, or
+    # (logging) for a default warning sink that writes a line to stderr.
+    assert _loaded_by("import tempred.report", "statistics", "csv", "logging") == []
+
+
+def test_redundancy_imports_neither_differ_nor_history():
+    # The pool layer reads deltas and commits without importing their
+    # modules. The package's own __init__ loads the whole run path, so the
+    # probe registers an empty package in its place.
+    package = str(Path(report_module.__file__).parent)
+    stub = (f"import types; pkg = types.ModuleType('tempred'); pkg.__path__ = [{package!r}]; "
+            "sys.modules['tempred'] = pkg; import tempred.redundancy")
+    assert _loaded_by(stub, "tempred.redundancy", "tempred.differ", "tempred.history") == [
+        "tempred.redundancy"]
 
 
 def test_pre_mode_diffs_only_the_changed_lines_tokens(bundle_writer, monkeypatch):
