@@ -137,17 +137,19 @@ class AnalysisConfig:
 # nearly everything.
 FRAGMENT_CACHE_ENTRIES = 1024
 
-# Bound on the normalized line -> tokens LRU. A 3000-commit, 40-file
-# synthetic history has under 5k distinct lines; at a few hundred bytes an
-# entry, a full LRU stays within tens of MB.
+# Bound on the normalized line -> (line, tokens) LRU. An entry also gives
+# back its line, so cached texts share one string per distinct line. The
+# 3000-commit, 40-file `git-3k` history (seed 1) has 4,691 distinct lines;
+# at a few hundred bytes an entry, a full LRU stays within tens of MB.
 LINE_MEMO_ENTRIES = 1 << 16
 
 
 class _Text(NamedTuple):
     """A file version's fragments. In ``pre`` mode ``lines`` are always
-    kept, since pairs are trimmed by line, and ``tokens`` holds one token
-    tuple per line; in ``post`` mode ``tokens`` is the whole file's. What a
-    granularity not analyzed would fill is empty or 0."""
+    kept, since pairs are trimmed by line, and both they and the per-line
+    token tuples in ``tokens`` are the line memo's objects; in ``post``
+    mode ``tokens`` is the whole file's. What a granularity not analyzed
+    would fill is empty or 0."""
 
     lines: tuple[str, ...]
     tokens: tuple
@@ -173,14 +175,17 @@ def post_filter_delta(delta: FileDelta) -> None:
         delta.removed = [f for f in delta.removed if not is_comment_token(f)]
 
 
-def _lex_line(line: str) -> tuple[tuple[str, ...], int]:
-    """A normalized line's tokens and fallback count."""
+def _lex_line(want_tokens: bool, line: str) -> tuple[str, tuple[str, ...], int]:
+    """A normalized line itself, so that texts share the memo's string, with
+    its tokens and fallback count when tokens are analyzed."""
+    if not want_tokens:
+        return line, (), 0
     stats = LexStats()
-    return tuple(lex(line, stats=stats)), stats.fallback_tokens
+    return line, tuple(lex(line, stats=stats)), stats.fallback_tokens
 
 
 def _fragment(granularities: tuple[Granularity, ...], normalize: str,
-              line_tokens: Callable[[str], tuple[tuple[str, ...], int]],
+              line_tokens: Callable[[str], tuple[str, tuple[str, ...], int]],
               text: str) -> _Text:
     want_tokens = Granularity.TOKEN in granularities
     if normalize == POST:
@@ -188,11 +193,10 @@ def _fragment(granularities: tuple[Granularity, ...], normalize: str,
         tokens = tuple(lex(text, include_comments=True, stats=stats)) if want_tokens else ()
         lines = tuple(split_raw_lines(text)) if Granularity.LINE in granularities else ()
         return _Text(lines, tokens, len(tokens), stats.fallback_tokens)
-    lines = tuple(fragment_lines(text))
-    if not want_tokens:
-        return _Text(lines, (), 0, 0)
-    per_line, fallbacks = tuple(zip(*map(line_tokens, lines))) or ((), ())
-    return _Text(lines, per_line, sum(map(len, per_line)), sum(fallbacks))
+    lines, per_line, fallbacks = (
+        tuple(zip(*map(line_tokens, fragment_lines(text)))) or ((), (), ()))
+    return _Text(lines, per_line if want_tokens else (), sum(map(len, per_line)),
+                 sum(fallbacks))
 
 
 @dataclass
@@ -202,10 +206,12 @@ class _PipelineState:
     ``texts`` is an LRU of file text -> ``_Text``. In ``pre`` mode, tokens
     never cross a normalized line: lexing a file gives the same tokens, and
     the same fallback count, as lexing each of its ``fragment_lines`` in
-    turn. So a text keeps its lines and, per line, the token tuple of
-    ``line_tokens``, an LRU of line -> (tokens, fallback count) shared
-    across files and commits, since most lines survive from one version to
-    the next; no whole-file token tuple is built. ``pair`` trims a file pair
+    turn. So a text keeps, per line, the line and the token tuple that
+    ``line_tokens`` gives back, an LRU of line -> (line, tokens, fallback
+    count) shared across files and commits, since most lines survive from
+    one version to the next: a run holds one string per distinct line, not
+    one per file version, and no whole-file token tuple. Runs without
+    tokens use the same LRU and lex nothing. ``pair`` trims a file pair
     once by line and flattens only the tokens of the lines that differ
     (``differ.pair_middles``), so token work and memory follow the edit,
     not the file. ``post`` mode keeps comment tokens, which can span lines,
@@ -224,7 +230,8 @@ class _PipelineState:
     diff_fallbacks: int = 0
 
     def __post_init__(self) -> None:
-        self.line_tokens = lru_cache(LINE_MEMO_ENTRIES)(_lex_line)
+        self.line_tokens = lru_cache(LINE_MEMO_ENTRIES)(
+            partial(_lex_line, Granularity.TOKEN in self.granularities))
         self.texts = lru_cache(FRAGMENT_CACHE_ENTRIES)(partial(
             _fragment, self.granularities, self.normalize, self.line_tokens))
 

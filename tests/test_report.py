@@ -24,8 +24,8 @@ from tempred import report as report_module
 from tempred.cli import main
 from tempred.errors import ConfigurationError
 from tempred.fragmenter import Granularity, LexStats, lex
-from tempred.history import load_history_bundle
-from tempred.redundancy import NOVEL_FRAGMENT_CAP, Scope
+from tempred.history import CommitRecord, FileChange, load_history_bundle
+from tempred.redundancy import NOVEL_FRAGMENT_CAP, Scope, ScopedPools, index_commit
 from tempred.report import (
     POST,
     AnalysisConfig,
@@ -174,6 +174,57 @@ def test_untraced_run_retains_no_per_commit_memory(commit_count):
         tracemalloc.stop()
     assert report.commit_count == commit_count
     assert retained < 64 * 2**10, f"{retained / 2**10:.1f} KiB"
+
+
+def test_untraced_run_peak_stays_bounded_on_reuse_saturated_history():
+    # The text cache holds 1,024 versions of files that share nearly all
+    # their lines; each distinct line is held once, by the line memo.
+    commits = _Generator(HistorySpec(seed=3, commit_count=2000, file_count=40,
+                                     reuse_probability=1.0)).build()
+    config = AnalysisConfig(source="saturated", bundle=True)
+    tracemalloc.start()
+    try:
+        report = analyze_commits(commits, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.commit_count == 2000
+    assert peak < 3 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("granularities", [(Granularity.LINE, Granularity.TOKEN),
+                                           (Granularity.LINE,)])
+def test_equal_lines_are_one_string_in_texts_deltas_and_pools(granularities):
+    # Every version is its own text, so splitting it gives new line strings;
+    # only the line memo can make equal lines one object.
+    rows = [f"int row{i} = {i};" for i in range(4)]
+    a0, a1 = "\n".join(rows[:2]) + "\n", "\n".join(rows[:3]) + "\n"
+    b0 = "\n".join(rows[1:]) + "\n"
+    commits = [
+        CommitRecord("c0", 0, 100, [FileChange("src/A.java", None, a0)]),
+        CommitRecord("c1", 1, 200, [FileChange("src/A.java", a0, a1),
+                                    FileChange("src/B.java", None, b0)]),
+    ]
+    config = AnalysisConfig(source="shared", bundle=True, granularities=granularities)
+    state = report_module._make_state(config)
+    pools = {g: ScopedPools.create(g) for g in granularities}
+    changes = []
+    for commit in commits:
+        changes.append(report_module._commit_changes(commit, config, state, pools))
+        for granularity in granularities:
+            index_commit(pools[granularity], changes[-1], granularity)
+    texts = [state.fragments(text).lines for text in (a0, a1, b0)]
+    assert texts[0] == tuple(rows[:2]) and texts[2] == tuple(rows[1:])
+    row1 = texts[0][1]
+    assert texts[1][1] is row1 and texts[2][0] is row1
+    assert texts[1][2] is texts[2][1]
+    added = [f for deltas in (c.deltas[Granularity.LINE] for c in changes)
+             for delta in deltas for f in delta.added]
+    assert added == [*rows[:2], rows[2], *rows[1:]]
+    shared = {line: line for text in texts for line in text}
+    assert all(shared[f] is f for f in added)
+    keys = list(pools[Granularity.LINE].global_pool.first_seen)
+    assert keys == rows and all(shared[key] is key for key in keys)
 
 
 def test_csv_has_one_row_per_project_granularity_scope(small_bundle):
