@@ -25,7 +25,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from collections import deque
+from collections import OrderedDict, deque
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -183,6 +183,14 @@ def _resolve_content(value: object, bundle_dir: Path, where: str) -> str | None:
     return blob_path.read_bytes().decode("utf-8", "replace")
 
 
+def _keep(last: OrderedDict, path: str, version: object, bound: int) -> None:
+    """Hold ``version`` as ``path``'s last after-side (the caller has popped
+    the path's entry), and drop the path changed longest ago past ``bound``."""
+    last[path] = version
+    if len(last) > bound:
+        last.popitem(last=False)
+
+
 def load_history_bundle(
     bundle_dir: str | Path, since: int | None = None, until: int | None = None,
     on_warning: WarnFn | None = None,
@@ -193,6 +201,9 @@ def load_history_bundle(
     out-of-order timestamps are allowed but warned about. A commit outside
     the inclusive ``since``/``until`` window is skipped unread, as in
     ``open_repository``; the rest are read lazily, where a missing blob aborts.
+    As in ``open_repository``, a before-side that names the same blob as its
+    path's last after-side takes that side's text instead of reading the blob
+    file again.
     """
     warn = on_warning or _warn_stderr
     bundle_dir = Path(bundle_dir)
@@ -228,19 +239,28 @@ def load_history_bundle(
             if _in_window(entry["timestamp"], since, until)]
 
     def _iter() -> Iterator[CommitRecord]:
+        # path -> (blob reference, text) of the last after-side read there.
+        last: OrderedDict[str, tuple[str, str]] = OrderedDict()
         for order_index, (idx, entry) in enumerate(kept):
             where = f"commits[{idx}]"
             changes: list[FileChange] = []
             for fidx, fentry in enumerate(entry["files"]):
                 fwhere = f"{where}.files[{fidx}]"
-                before = _resolve_content(fentry["before"], bundle_dir, fwhere)
-                after = _resolve_content(fentry["after"], bundle_dir, fwhere)
+                path, after_ref = fentry["path"], fentry["after"]
+                held = last.pop(path, None)
+                if held is not None and fentry["before"] == held[0]:
+                    before = held[1]
+                else:
+                    before = _resolve_content(fentry["before"], bundle_dir, fwhere)
+                after = _resolve_content(after_ref, bundle_dir, fwhere)
+                if after is not None and after_ref.startswith(BLOB_REF_PREFIX):
+                    _keep(last, path, (after_ref, after), _REUSE_BLOB_PATHS)
                 if before is None and after is None:
                     warn(f"{fwhere}: both sides absent; dropped")
                     continue
                 if before == after:
                     continue  # no-op pair
-                changes.append(FileChange(path=fentry["path"], before=before, after=after))
+                changes.append(FileChange(path=path, before=before, after=after))
             yield CommitRecord(
                 commit_id=entry["id"],
                 order_index=order_index,
@@ -313,9 +333,9 @@ _REQUEST_WINDOW = 64
 # At most this many commits are parsed ahead of the one being yielded, so a
 # long run of commits that need no blobs is not buffered.
 _COMMIT_WINDOW = 64
-# The blobs of this many shas, the most recently named, are kept for the
-# next file side that names the same sha.
-_REUSE_BLOBS = 1024
+# The last after-side of this many paths, the most recently changed, is kept
+# for the next before-side of the same path that names the same blob.
+_REUSE_BLOB_PATHS = 1024
 
 # (old_mode, new_mode, old_sha, new_sha, path) of one raw entry, and
 # (sha, committer epoch, raw entries) of one commit.
@@ -461,32 +481,31 @@ class _Blob:
 _PlannedEntry = tuple[str, "_Blob | None", "_Blob | None"]
 
 
-def _queue_blob(unsent: deque[_Blob], sha: str) -> _Blob:
-    blob = _Blob(sha)
-    unsent.append(blob)
-    return blob
-
-
 class _BlobPlan:
     """The blobs of the commits parsed ahead, requested in order through one
     ``_BlobReader`` with at most ``_REQUEST_WINDOW`` of them unanswered.
 
-    Git blobs are named by their content, and a file's before-side is nearly
-    always the after-side that the previous first-parent commit wrote for
-    the same path. So ``blob`` is an LRU of the ``_REUSE_BLOBS`` shas named
-    most recently: a side whose sha is kept takes that blob, decoded text
-    included, and only a miss queues a read. A revert or a copy is reused
-    like an edit. A planned commit holds its own blobs, so dropping a sha
-    from the LRU never loses what it still needs.
+    A file's before-side is nearly always the after-side that the previous
+    first-parent commit wrote for the same path. So ``last`` maps each of
+    the ``_REUSE_BLOB_PATHS`` paths changed most recently to the blob of its
+    last after-side, and a before-side takes that blob, decoded text
+    included, when it names the same sha; every other side queues a read.
+    So one version per path is kept, and a revert or a copy of an older
+    version reads its blob again. A deletion drops the path's entry. A
+    planned commit holds its own blobs, so dropping an entry never loses
+    what it still needs.
     """
 
     def __init__(self, reader: _BlobReader) -> None:
         self.reader = reader
         self.unsent: deque[_Blob] = deque()
         self.in_flight: deque[_Blob] = deque()
-        # The cache wraps a module-level function, not a method, so it holds
-        # no reference back to the plan.
-        self.blob = lru_cache(_REUSE_BLOBS)(partial(_queue_blob, self.unsent))
+        self.last: OrderedDict[str, _Blob] = OrderedDict()
+
+    def _queue(self, sha: str) -> _Blob:
+        blob = _Blob(sha)
+        self.unsent.append(blob)
+        return blob
 
     def has_room(self) -> bool:
         return len(self.in_flight) < _REQUEST_WINDOW
@@ -502,8 +521,12 @@ class _BlobPlan:
             after_sha = None if _NULL_SHA.match(new_sha) else new_sha
             if before_sha == after_sha:
                 continue  # mode-only change
-            before = None if before_sha is None else self.blob(before_sha)
-            after = None if after_sha is None else self.blob(after_sha)
+            before = self.last.pop(path, None)
+            if before is None or before.sha != before_sha:
+                before = None if before_sha is None else self._queue(before_sha)
+            after = None if after_sha is None else self._queue(after_sha)
+            if after is not None:
+                _keep(self.last, path, after, _REUSE_BLOB_PATHS)
             planned.append((path, before, after))
         self._send()
         return planned
@@ -575,10 +598,10 @@ def open_repository(
 
     The log is parsed up to ``_COMMIT_WINDOW`` commits ahead, and their blobs
     are requested up to ``_REQUEST_WINDOW`` ahead of the replies read, so
-    cat-file works while the caller processes a commit. A blob whose sha a
-    recent side named, nearly always the previous commit's after-side of
-    the same path, is taken from that side instead of read again
-    (``_BlobPlan``).
+    cat-file works while the caller processes a commit. A before-side that
+    names the sha of its path's last after-side, as nearly every edit's
+    does, takes that side's blob instead of reading it again; only one
+    version per path is kept for this (``_BlobPlan``).
     """
     warn = on_warning or _warn_stderr
     repo = Path(path)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
@@ -32,6 +33,7 @@ from .history import (
     DEFAULT_EXCLUDE_GLOBS,
     DEFAULT_INCLUDE_GLOBS,
     CommitRecord,
+    FileChange,
     FileFilterRules,
     filter_files,
     load_history_bundle,
@@ -132,10 +134,10 @@ class AnalysisConfig:
         }
 
 
-# Bound on the text -> fragments LRU. Consecutive commits mostly re-see
-# the previous commit's file contents, so a small LRU avoids re-fragmenting
-# nearly everything.
-FRAGMENT_CACHE_ENTRIES = 1024
+# Bound on the path -> last after-side map. A file's before-side is nearly
+# always the after-side its path's last change wrote, so keeping that one
+# version per path avoids re-fragmenting nearly everything.
+FRAGMENT_CACHE_PATHS = 1024
 
 # Bound on the normalized line -> (line, tokens) LRU. An entry also gives
 # back its line, so cached texts share one string per distinct line. The
@@ -193,8 +195,10 @@ def _fragment(granularities: tuple[Granularity, ...], normalize: str,
         tokens = tuple(lex(text, include_comments=True, stats=stats)) if want_tokens else ()
         lines = tuple(split_raw_lines(text)) if Granularity.LINE in granularities else ()
         return _Text(lines, tokens, len(tokens), stats.fallback_tokens)
-    lines, per_line, fallbacks = (
-        tuple(zip(*map(line_tokens, fragment_lines(text)))) or ((), (), ()))
+    # Lists, not tuples built from iterators: CPython resizes such a tuple to
+    # its length, and its free lists then keep the tuple once it dies.
+    entries = list(map(line_tokens, fragment_lines(text)))
+    lines, per_line, fallbacks = list(zip(*entries)) or ((), (), ())
     return _Text(lines, per_line if want_tokens else (), sum(map(len, per_line)),
                  sum(fallbacks))
 
@@ -203,20 +207,27 @@ def _fragment(granularities: tuple[Granularity, ...], normalize: str,
 class _PipelineState:
     """What one run carries from commit to commit.
 
-    ``texts`` is an LRU of file text -> ``_Text``. In ``pre`` mode, tokens
-    never cross a normalized line: lexing a file gives the same tokens, and
-    the same fallback count, as lexing each of its ``fragment_lines`` in
-    turn. So a text keeps, per line, the line and the token tuple that
-    ``line_tokens`` gives back, an LRU of line -> (line, tokens, fallback
-    count) shared across files and commits, since most lines survive from
-    one version to the next: a run holds one string per distinct line, not
-    one per file version, and no whole-file token tuple. Runs without
-    tokens use the same LRU and lex nothing. ``pair`` trims a file pair
-    once by line and flattens only the tokens of the lines that differ
-    (``differ.pair_middles``), so token work and memory follow the edit,
-    not the file. ``post`` mode keeps comment tokens, which can span lines,
-    so it lexes and diffs whole files. Both caches wrap module-level
-    functions, not methods, so they hold no reference back to the state.
+    ``texts`` maps each of the ``FRAGMENT_CACHE_PATHS`` paths changed most
+    recently to its last after-side, as (text, ``_Text``). ``sides`` takes a
+    before-side's ``_Text`` from its path's entry when the two texts are
+    equal (``==`` returns at once for the same string, which both sources
+    hand on for an edit), and fragments every other side with ``fragment``.
+    One version per path is kept, so a revert or a copy of an older version
+    is fragmented again.
+    In ``pre`` mode, tokens never cross a normalized line: lexing a file
+    gives the same tokens, and the same fallback count, as lexing each of
+    its ``fragment_lines`` in turn. So a text keeps, per line, the line and
+    the token tuple that ``line_tokens`` gives back, an LRU of line ->
+    (line, tokens, fallback count) shared across files and commits, since
+    most lines survive from one version to the next: a run holds one string
+    per distinct line, not one per file version, and no whole-file token
+    tuple. Runs without tokens use the same LRU and lex nothing. ``pair``
+    trims a file pair once by line and flattens only the tokens of the lines
+    that differ (``differ.pair_middles``), so token work and memory follow
+    the edit, not the file. ``post`` mode keeps comment tokens, which can
+    span lines, so it lexes and diffs whole files. The LRU wraps a
+    module-level function, not a method, so it holds no reference back to
+    the state.
     """
 
     granularities: tuple[Granularity, ...]
@@ -232,12 +243,27 @@ class _PipelineState:
     def __post_init__(self) -> None:
         self.line_tokens = lru_cache(LINE_MEMO_ENTRIES)(
             partial(_lex_line, Granularity.TOKEN in self.granularities))
-        self.texts = lru_cache(FRAGMENT_CACHE_ENTRIES)(partial(
-            _fragment, self.granularities, self.normalize, self.line_tokens))
+        self.fragment = partial(_fragment, self.granularities, self.normalize,
+                                self.line_tokens)
+        self.texts: OrderedDict[str, tuple[str, _Text]] = OrderedDict()
 
-    def fragments(self, text: str | None) -> _Text:
-        # An absent side is kept out of the LRU, where it would take a slot.
-        return _ABSENT if text is None else self.texts(text)
+    def sides(self, change: FileChange) -> tuple[_Text, _Text]:
+        """The fragments of a change's before- and after-side, which then
+        becomes its path's entry; a deletion drops the entry."""
+        held = self.texts.pop(change.path, None)
+        if change.before is None:
+            before = _ABSENT
+        elif held is not None and held[0] == change.before:
+            before = held[1]
+        else:
+            before = self.fragment(change.before)
+        if change.after is None:
+            return before, _ABSENT
+        after = self.fragment(change.after)
+        self.texts[change.path] = (change.after, after)
+        if len(self.texts) > FRAGMENT_CACHE_PATHS:
+            self.texts.popitem(last=False)
+        return before, after
 
     def pair(self, before: _Text, after: _Text) -> tuple[tuple, tuple | None]:
         """The line pair and the token pair to diff: the middles of the two
@@ -269,8 +295,8 @@ def _commit_changes(commit: CommitRecord, config: AnalysisConfig,
     changes = ChangeSet(commit=commit)
     fast = pools is not None and config.normalize == PRE
     retained = filter_files(commit.file_changes, state.rules)
-    # One cache lookup per file side, whatever the granularities analyzed.
-    sides = [(state.fragments(fc.before), state.fragments(fc.after)) for fc in retained]
+    # Each side is fragmented at most once, whatever the granularities analyzed.
+    sides = [state.sides(fc) for fc in retained]
     state.fallback_tokens += sum(after.fallback for _, after in sides)
     # Fragments per pair, as (lines, tokens); 0 at a granularity not analyzed.
     count_lines = Granularity.LINE in config.granularities

@@ -326,7 +326,23 @@ def test_each_edit_reads_only_its_new_blob(git_repo, monkeypatch):
     assert len(requested) == k + 1  # not 1 + 2k: each before-side is the last after-side
 
 
-def test_a_revert_and_a_copy_read_no_blob_twice(git_repo, monkeypatch):
+def _path_map_reads(commits: list[CommitRecord]) -> int:
+    """The blobs the one-version-per-path policy reads: every after-side, and
+    every before-side that is not its path's last after-side."""
+    last: dict[str, str] = {}
+    reads = 0
+    for commit in commits:
+        for fc in commit.file_changes:
+            reads += fc.before is not None and last.get(fc.path) != fc.before
+            reads += fc.after is not None
+            if fc.after is None:
+                last.pop(fc.path, None)
+            else:
+                last[fc.path] = fc.after
+    return reads
+
+
+def test_a_revert_and_a_copy_read_their_blob_again(git_repo, monkeypatch):
     one, two = "int a = 1;\n", "int a = 2;\n"
     git_repo.commit({"A.java": one})
     git_repo.commit({"A.java": two})
@@ -339,13 +355,33 @@ def test_a_revert_and_a_copy_read_no_blob_twice(git_repo, monkeypatch):
     ]
     requested = _requested_shas(monkeypatch)
     assert list(open_repository(git_repo.path, "main")) == expected
-    assert len(requested) == len(set(requested)) == 2
-    # Keeping one blob loses the revert's reuse, but neither the edits' nor
-    # the copy's, and never the stream.
-    monkeypatch.setattr(history, "_REUSE_BLOBS", 1)
+    # One version is kept per path, so each after-side is read, the revert's
+    # and the copy's included, and no before-side is.
+    assert len(requested) == _path_map_reads(expected) == 4
+    assert len(set(requested)) == 2
+    # Keeping one path drops A's entry only once A is done with.
+    monkeypatch.setattr(history, "_REUSE_BLOB_PATHS", 1)
     requested.clear()
     assert list(open_repository(git_repo.path, "main")) == expected
-    assert len(requested) == 3
+    assert len(requested) == 4
+
+
+def test_a_before_side_that_is_not_its_paths_entry_is_read(git_repo, monkeypatch):
+    # A side branch changes A; after the merge, main's next edit of A starts
+    # from the merged version, which no first-parent commit wrote.
+    base = git_repo.commit({"A.java": "int a = 1;\n", "B.java": "int b = 1;\n"})
+    git_repo.branch_from("side", base)
+    git_repo.commit({"A.java": "int a = 2;\n"})
+    git_repo.checkout("main")
+    git_repo.commit({"B.java": "int b = 2;\n"})
+    git_repo.merge("side")
+    git_repo.commit({"A.java": "int a = 3;\n"})
+    git_repo.commit({"A.java": None})
+    git_repo.commit({"A.java": "int a = 3;\n"})  # re-added with its old text
+    expected = diff_tree_reference(git_repo.path, "main")
+    requested = _requested_shas(monkeypatch)
+    assert list(open_repository(git_repo.path, "main")) == expected
+    assert len(requested) == _path_map_reads(expected) == 6
 
 
 # ---------------------------------------------------------------------------

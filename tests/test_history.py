@@ -5,12 +5,14 @@ from __future__ import annotations
 import fnmatch
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from tempred import history
 from tempred.errors import BranchNotFoundError, BundleFormatError, RepositoryNotFoundError
 from tempred.history import (
+    CommitRecord,
     FileChange,
     FileFilterRules,
     export_bundle,
@@ -211,6 +213,64 @@ def test_missing_blob_aborts(tmp_path):
     }
     (bundle / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     with pytest.raises(BundleFormatError, match="missing blob"):
+        list(load_history_bundle(bundle))
+
+
+def _counted_blob_reads(monkeypatch) -> list[str]:
+    """The names of the blob files read from now on, in order."""
+    names: list[str] = []
+    read_bytes = Path.read_bytes
+
+    def spy(self):
+        if self.parent.name == history.BLOBS_DIR:
+            names.append(self.name)
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", spy)
+    return names
+
+
+def test_bundle_reads_each_blob_once(tmp_path, monkeypatch):
+    versions = [f"int a = {i};\n" for i in range(3)]
+    records = [
+        CommitRecord(f"c{i}", i, i + 1,
+                     [FileChange("A.java", versions[i - 1] if i else None, text)])
+        for i, text in enumerate(versions)
+    ]
+    bundle = export_bundle(records, tmp_path / "bundle")
+    reads = _counted_blob_reads(monkeypatch)
+    assert list(load_history_bundle(bundle)) == records
+    # Each before-side names its path's last after-side, whose text it takes.
+    assert len(reads) == len(set(reads)) == 3
+
+
+def test_bundle_before_side_that_is_not_its_paths_entry_is_resolved(tmp_path, monkeypatch):
+    bundle = tmp_path / "bundle"
+    blobs = bundle / history.BLOBS_DIR
+    blobs.mkdir(parents=True)
+    for name in ("one", "two", "three"):
+        (blobs / name).write_text(f"int {name};\n", encoding="utf-8")
+    files = [
+        [{"path": "A.java", "before": None, "after": "@blobs/one"}],
+        [{"path": "A.java", "before": "@blobs/two", "after": "@blobs/three"}],
+        [{"path": "A.java", "before": "int three;\n", "after": "@blobs/one"}],
+        [{"path": "A.java", "before": "@blobs/one", "after": None}],
+        [{"path": "A.java", "before": None, "after": "@blobs/two"}],
+    ]
+    manifest = {"commits": [{"id": f"c{i}", "timestamp": i, "files": f}
+                            for i, f in enumerate(files)]}
+    (bundle / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    reads = _counted_blob_reads(monkeypatch)
+    got = [(fc.before, fc.after) for c in load_history_bundle(bundle) for fc in c.file_changes]
+    assert got == [(None, "int one;\n"), ("int two;\n", "int three;\n"),
+                   ("int three;\n", "int one;\n"), ("int one;\n", None),
+                   (None, "int two;\n")]
+    # Another blob and an inline string are read as they are written.
+    assert reads == ["one", "two", "three", "one", "two"]
+    # So a missing blob there is still an error.
+    files[1][0]["before"] = "@blobs/gone"
+    (bundle / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(BundleFormatError, match="commits\\[1\\].files\\[0\\]: missing blob"):
         list(load_history_bundle(bundle))
 
 

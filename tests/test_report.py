@@ -24,7 +24,7 @@ from tempred import report as report_module
 from tempred.cli import main
 from tempred.errors import ConfigurationError
 from tempred.fragmenter import Granularity, LexStats, lex
-from tempred.history import CommitRecord, FileChange, load_history_bundle
+from tempred.history import CommitRecord, FileChange, export_bundle, load_history_bundle
 from tempred.redundancy import NOVEL_FRAGMENT_CAP, Scope, ScopedPools, index_commit
 from tempred.report import (
     POST,
@@ -40,7 +40,7 @@ from tempred.report import (
 )
 from tempred.synth import HistorySpec, _Generator, generate_history, oracle_classify
 
-from conftest import GitRepoBuilder, assert_untraced_matches
+from conftest import GitRepoBuilder, assert_untraced_matches, write_bundle
 
 
 @pytest.fixture(scope="module")
@@ -156,40 +156,58 @@ def test_untraced_report_keeps_no_classifications_and_renders(small_bundle):
         assert emit_report(untraced, output_format) == emit_report(traced, output_format)
 
 
+# commit count -> (bytes retained, peak bytes) of one untraced run.
+_SATURATED_RUNS: dict[int, tuple[int, int]] = {}
+
+
+def _saturated_run(commit_count: int) -> tuple[int, int]:
+    """What an untraced analysis of a reuse-saturated history retains, and its
+    ``tracemalloc`` peak. Every line a commit adds after the first was added
+    before, so the pools stop growing, while each file grows by about one
+    line per edit."""
+    if commit_count not in _SATURATED_RUNS:
+        commits = _Generator(HistorySpec(seed=3, commit_count=commit_count, file_count=40,
+                                         reuse_probability=1.0)).build()
+        config = AnalysisConfig(source="saturated", bundle=True)
+        # A full collection empties CPython's free lists, so the peak does not
+        # depend on what ran before. CPython 3.11 then keeps every 20-tuple
+        # freed into its free list and never takes one back out, up to 2,000
+        # of them (400 KB); filling it first keeps that out of the peak.
+        gc.collect()
+        filler = [tuple(range(20)) for _ in range(2000)]
+        del filler
+        tracemalloc.start()
+        try:
+            report = analyze_commits(commits, config)
+            peak = tracemalloc.get_traced_memory()[1]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert report.commit_count == commit_count
+        _SATURATED_RUNS[commit_count] = retained, peak
+    return _SATURATED_RUNS[commit_count]
+
+
 @pytest.mark.parametrize("commit_count", [2000, 4000])
 def test_untraced_run_retains_no_per_commit_memory(commit_count):
-    # Every line a commit adds after the first was added before, so the
-    # pools stop growing. What the report holds must not grow with the
-    # history either. The peak still grows, since files grow by about one
-    # line per edit and the text cache holds the longer versions.
-    commits = _Generator(HistorySpec(seed=3, commit_count=commit_count, file_count=40,
-                                     reuse_probability=1.0)).build()
-    config = AnalysisConfig(source="saturated", bundle=True)
-    tracemalloc.start()
-    try:
-        report = analyze_commits(commits, config)
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert report.commit_count == commit_count
+    # What the report holds must not grow with the history.
+    retained, _ = _saturated_run(commit_count)
     assert retained < 64 * 2**10, f"{retained / 2**10:.1f} KiB"
 
 
 def test_untraced_run_peak_stays_bounded_on_reuse_saturated_history():
-    # The text cache holds 1,024 versions of files that share nearly all
-    # their lines; each distinct line is held once, by the line memo.
-    commits = _Generator(HistorySpec(seed=3, commit_count=2000, file_count=40,
-                                     reuse_probability=1.0)).build()
-    config = AnalysisConfig(source="saturated", bundle=True)
-    tracemalloc.start()
-    try:
-        report = analyze_commits(commits, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.commit_count == 2000
-    assert peak < 3 * 2**20, f"{peak / 2**20:.2f} MiB"
+    # The text map holds one version of each of the 40 files, and each
+    # distinct line is held once, by the line memo.
+    _, peak = _saturated_run(2000)
+    assert peak < 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+def test_untraced_run_peak_is_flat_on_reuse_saturated_history():
+    # Twice the commits: only the files, their local pools and their one
+    # held version each grow, by about one line per edit.
+    (_, short), (_, long) = _saturated_run(2000), _saturated_run(4000)
+    assert long <= 1.15 * short, f"{short / 2**20:.2f} -> {long / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("granularities", [(Granularity.LINE, Granularity.TOKEN),
@@ -213,7 +231,7 @@ def test_equal_lines_are_one_string_in_texts_deltas_and_pools(granularities):
         changes.append(report_module._commit_changes(commit, config, state, pools))
         for granularity in granularities:
             index_commit(pools[granularity], changes[-1], granularity)
-    texts = [state.fragments(text).lines for text in (a0, a1, b0)]
+    texts = [state.fragment(text).lines for text in (a0, a1, b0)]
     assert texts[0] == tuple(rows[:2]) and texts[2] == tuple(rows[1:])
     row1 = texts[0][1]
     assert texts[1][1] is row1 and texts[2][0] is row1
@@ -419,17 +437,17 @@ def test_line_token_memo_cap_changes_no_output(bundle_writer, monkeypatch):
     assert emit_report(run_analysis(config), "json") == expected
     state = report_module._make_state(config)
     for text in versions:
-        state.fragments(text)
+        state.fragment(text)
         assert state.line_tokens.cache_info().currsize <= 2
 
 
-# Every bound on a run-path cache, buffer or look-ahead window. None of them
-# may change a report; a new ``lru_cache`` must name its bound here.
+# Every bound on a run-path cache, path map, buffer or look-ahead window. None
+# of them may change a report; a new ``lru_cache`` must name its bound here.
 RUN_PATH_BOUNDS = [
-    (report_module, "FRAGMENT_CACHE_ENTRIES"),
+    (report_module, "FRAGMENT_CACHE_PATHS"),
     (report_module, "LINE_MEMO_ENTRIES"),
     (history_module, "FILTER_MEMO_ENTRIES"),
-    (history_module, "_REUSE_BLOBS"),
+    (history_module, "_REUSE_BLOB_PATHS"),
     (history_module, "_REQUEST_WINDOW"),
     (history_module, "_COMMIT_WINDOW"),
     (history_module, "_READ_CHUNK"),
@@ -513,9 +531,10 @@ def test_every_lru_cache_bound_is_a_checked_run_path_bound():
 
 
 def test_dropped_caches_free_their_owners(git_repo, monkeypatch):
-    """Every run-path cache wraps a module-level function, so no cache forms a
-    reference cycle that keeps its owner alive until the cyclic GC runs."""
-    git_repo.commit({"A.java": "int a = 1;\n"})
+    """Every run-path cache wraps a module-level function, and the path maps
+    hold only versions, so no cache or map forms a reference cycle that
+    keeps its owner alive until the cyclic GC runs."""
+    git_repo.commit({"A.java": "int a = 1;\n", "B.java": "int b = 1;\n"})
     git_repo.commit({"A.java": "int a = 2;\n"})
     plans: list[weakref.ref] = []
 
@@ -532,14 +551,65 @@ def test_dropped_caches_free_their_owners(git_repo, monkeypatch):
         for commit in open_source(config):
             for fc in commit.file_changes:
                 assert state.rules.matches(fc.path)
-                state.fragments(fc.before)
-                state.fragments(fc.after)
-        assert state.texts.cache_info().currsize == 2
+                state.sides(fc)
+            held = [list(plan().last) for plan in plans]
+        # Each map holds one entry per path, the one changed last at the end.
+        assert held == [list(state.texts)] == [["B.java", "A.java"]]
         owners = [weakref.ref(state), weakref.ref(state.rules), *plans]
         del state
         assert len(owners) == 3 and [ref() for ref in owners] == [None] * 3
     finally:
         gc.enable()
+
+
+_X = "int a = 1;\nint b = 2;\n"
+_Y = "int c = 3;\n"
+_Z = "int c = 3;\nint a = 1;\n"
+
+# Histories whose before-sides are not all their path's last after-side.
+# Bundles allow this, and no such side may be taken from the path maps.
+PATH_MAP_HISTORIES = {
+    # Y is not X, so the second commit adds "int a = 1;", which X added
+    # before: redundant. Diffed from X instead, it would add "int c = 3;".
+    "before_is_not_the_last_after": [
+        [("A.java", None, _X)],
+        [("A.java", _Y, _Z)],
+    ],
+    "deleted_then_re_added": [
+        [("A.java", None, _X), ("B.java", None, _Y)],
+        [("A.java", _X, None)],
+        [("A.java", None, _X)],
+        [("A.java", _X, _Z), ("B.java", _Y, _X)],
+    ],
+    "one_path_twice_in_a_commit": [
+        [("A.java", None, _X)],
+        [("A.java", _X, _Y), ("A.java", _Y, _Z)],
+        [("A.java", _Z, _X), ("A.java", _Y, _X)],
+    ],
+}
+
+
+@pytest.mark.parametrize("storage", ["inline", "blobs"])
+@pytest.mark.parametrize("name", sorted(PATH_MAP_HISTORIES))
+def test_path_maps_serve_only_the_same_content(tmp_path, storage, name):
+    records = [CommitRecord(f"c{i}", i, i + 1, [FileChange(*fc) for fc in files])
+               for i, files in enumerate(PATH_MAP_HISTORIES[name])]
+    if storage == "blobs":
+        bundle = export_bundle(records, tmp_path / "bundle")
+    else:
+        bundle = write_bundle(tmp_path / "bundle", [
+            {"id": r.commit_id, "timestamp": r.timestamp,
+             "files": [{"path": fc.path, "before": fc.before, "after": fc.after}
+                       for fc in r.file_changes]}
+            for r in records
+        ])
+    assert list(load_history_bundle(bundle)) == records
+    config = AnalysisConfig(source=str(bundle), bundle=True, trace_commits=True)
+    report, oracle = run_analysis(config), oracle_classify(bundle, config)
+    got, expected = report_to_dict(report), report_to_dict(oracle)
+    del got["config_echo"], expected["config_echo"]
+    assert got == expected
+    assert_untraced_matches(config, report, oracle)
 
 
 def test_subsumption_violation_deltas_are_capped(bundle_writer, schema):
@@ -728,7 +798,7 @@ def test_pre_mode_diffs_only_the_changed_lines_tokens(bundle_writer, monkeypatch
                           (Granularity.TOKEN, ["100"], ["-", "1"])]
     assert report.summary.acceptable_commits[Granularity.TOKEN] == 2
     state = report_module._make_state(config)
-    tokens = state.fragments(text).tokens
+    tokens = state.fragment(text).tokens
     assert len(tokens) == 200 and all(isinstance(line, tuple) for line in tokens)
 
 
