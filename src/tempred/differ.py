@@ -83,7 +83,6 @@ the canonical ``added``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, pairwise
 from math import isqrt
 from typing import Container, Sequence
@@ -95,7 +94,6 @@ from .fragmenter import Granularity
 LCS_BLOCK_BITS = 8192
 
 
-@dataclass
 class FileDelta:
     """Added and removed fragments of one file in one commit, one granularity.
 
@@ -105,16 +103,29 @@ class FileDelta:
     ``inserts`` holds how many (``None`` when the count was not asked
     for), and ``sides`` the two sequences it was given (the pipeline gives
     the trimmed middles), so that ``exact`` can diff them in full.
+    ``sides`` is kept out of ``==`` and ``repr``.
     """
 
-    path: str
-    granularity: Granularity
-    added: list[str]
-    removed: list[str]
-    inserts: int | None = None
-    any_inserted: bool = False
-    sides: tuple[Sequence[str], Sequence[str]] | None = field(
-        default=None, repr=False, compare=False)
+    __slots__ = ("path", "granularity", "added", "removed", "inserts", "any_inserted", "sides")
+
+    def __init__(self, path: str, granularity: Granularity, added: list[str],
+                 removed: list[str], inserts: int | None = None, any_inserted: bool = False,
+                 sides: tuple[Sequence[str], Sequence[str]] | None = None) -> None:
+        self.path, self.granularity, self.added, self.removed = path, granularity, added, removed
+        self.inserts, self.any_inserted, self.sides = inserts, any_inserted, sides
+
+    def _shown(self) -> dict:
+        """Every field but ``sides``, the last."""
+        return {name: getattr(self, name) for name in self.__slots__[:-1]}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._shown() == other._shown()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._shown().items())
+        return f"{type(self).__name__}({fields})"
 
     @property
     def added_count(self) -> int | None:

@@ -27,8 +27,6 @@ their actual values.
 from __future__ import annotations
 
 import re
-import string
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -82,18 +80,21 @@ _TOKEN = re.compile(
 
 # The one-character tokens that are not fallbacks: symbols, one-character
 # identifiers and numbers, and a lone quote (an unterminated literal).
-_PLAIN_CHARS = SINGLE_CHAR_SYMBOLS | frozenset(string.ascii_letters + string.digits + "_$\"'")
+_PLAIN_CHARS = SINGLE_CHAR_SYMBOLS | frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_$\"'")
 # A character neither plain nor whitespace; a text without one has no fallback.
 _FALLBACK_CHAR = re.compile(rf"[^\s{re.escape(''.join(sorted(_PLAIN_CHARS)))}]")
 _COMMENT_PREFIXES = ("//", "/*")
 _QUOTES = ('"', "'")
 
 
-@dataclass
 class LexStats:
     """Counters surfaced as run diagnostics; the lexer itself never fails."""
 
-    fallback_tokens: int = 0
+    __slots__ = ("fallback_tokens",)
+
+    def __init__(self, fallback_tokens: int = 0) -> None:
+        self.fallback_tokens = fallback_tokens
 
 
 def _strip_match(m: re.Match) -> str:

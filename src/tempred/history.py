@@ -19,7 +19,6 @@ added/deleted file. The order of the ``commits`` array is the traversal order.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import subprocess
@@ -27,10 +26,9 @@ import sys
 import tempfile
 from collections import OrderedDict, deque
 from contextlib import closing
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BranchNotFoundError,
@@ -60,8 +58,7 @@ DEFAULT_EXCLUDE_GLOBS: tuple[str, ...] = (
 )
 
 
-@dataclass
-class FileChange:
+class FileChange(NamedTuple):
     """One changed file in a commit; at least one side is present and they differ."""
 
     path: str
@@ -69,14 +66,13 @@ class FileChange:
     after: str | None
 
 
-@dataclass
-class CommitRecord:
+class CommitRecord(NamedTuple):
     """One commit: identity, 0-based position in the traversal, epoch timestamp."""
 
     commit_id: str
     order_index: int
     timestamp: int
-    file_changes: list[FileChange] = field(default_factory=list)
+    file_changes: Sequence[FileChange] = ()
 
 
 def glob_to_regex(pattern: str) -> re.Pattern[str]:
@@ -118,16 +114,16 @@ def _path_verdict(include: list[re.Pattern[str]], exclude: list[re.Pattern[str]]
     return any(rx.match(path) for rx in include) and not any(rx.match(path) for rx in exclude)
 
 
-@dataclass
 class FileFilterRules:
-    """A path is retained iff it matches at least one include glob and no exclude glob."""
+    """A path is retained iff it matches at least one include glob and no exclude
+    glob. Rules compare and print by their globs alone."""
 
-    include_globs: tuple[str, ...] = DEFAULT_INCLUDE_GLOBS
-    exclude_globs: tuple[str, ...] = DEFAULT_EXCLUDE_GLOBS
+    __slots__ = ("include_globs", "exclude_globs", "_verdict", "__weakref__")
 
-    def __post_init__(self) -> None:
-        self.include_globs = tuple(self.include_globs)
-        self.exclude_globs = tuple(self.exclude_globs)
+    def __init__(self, include_globs: Iterable[str] = DEFAULT_INCLUDE_GLOBS,
+                 exclude_globs: Iterable[str] = DEFAULT_EXCLUDE_GLOBS) -> None:
+        self.include_globs = tuple(include_globs)
+        self.exclude_globs = tuple(exclude_globs)
         # path -> verdict. The cache wraps a module-level function, not a
         # method, so it holds no reference back to the rules.
         self._verdict = lru_cache(FILTER_MEMO_ENTRIES)(partial(
@@ -135,6 +131,16 @@ class FileFilterRules:
             [glob_to_regex(p) for p in self.include_globs],
             [glob_to_regex(p) for p in self.exclude_globs],
         ))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.include_globs, self.exclude_globs) == (other.include_globs,
+                                                            other.exclude_globs)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(include_globs={self.include_globs!r}, "
+                f"exclude_globs={self.exclude_globs!r})")
 
     def matches(self, path: str) -> bool:
         return self._verdict(path)
@@ -277,6 +283,8 @@ def export_bundle(commits: Iterable[CommitRecord], out_dir: str | Path) -> Path:
     out = Path(out_dir)
     blobs = out / BLOBS_DIR
     blobs.mkdir(parents=True, exist_ok=True)
+
+    import hashlib  # only bundle export names blobs; it loads OpenSSL
 
     def store(text: str | None) -> str | None:
         if text is None:

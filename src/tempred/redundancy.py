@@ -10,10 +10,10 @@ inter-commit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
-from typing import TYPE_CHECKING
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import PipelineOrderError
 from .fragmenter import Granularity
@@ -34,11 +34,13 @@ class Scope(str, Enum):
 ALL_SCOPES: tuple[Scope, ...] = (Scope.GLOBAL, Scope.LOCAL)
 
 
-@dataclass
 class FragmentPool:
     """Distinct fragments seen so far, each with the commit that first added it."""
 
-    first_seen: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("first_seen",)
+
+    def __init__(self, first_seen: dict[str, int] | None = None) -> None:
+        self.first_seen = {} if first_seen is None else first_seen
 
     def __contains__(self, fragment: str) -> bool:
         return fragment in self.first_seen
@@ -53,37 +55,39 @@ class FragmentPool:
         return len(self.first_seen)
 
 
-@dataclass
 class ScopedPools:
     """One global pool plus one local pool per file path, single granularity."""
 
-    granularity: Granularity
-    global_pool: FragmentPool
-    local_pools: dict[str, FragmentPool] = field(default_factory=dict)
-    last_indexed: int | None = None
+    __slots__ = ("granularity", "global_pool", "local_pools", "last_indexed")
+
+    def __init__(self, granularity: Granularity, global_pool: FragmentPool,
+                 local_pools: dict[str, FragmentPool] | None = None,
+                 last_indexed: int | None = None) -> None:
+        self.granularity, self.global_pool = granularity, global_pool
+        self.local_pools = {} if local_pools is None else local_pools
+        self.last_indexed = last_indexed
 
     @classmethod
     def create(cls, granularity: Granularity) -> "ScopedPools":
         return cls(granularity=granularity, global_pool=FragmentPool())
 
 
-@dataclass
-class ChangeSet:
+class ChangeSet(NamedTuple):
     """One commit's per-file deltas, listed per granularity in file order."""
 
     commit: CommitRecord
-    deltas: dict[Granularity, list[FileDelta]] = field(default_factory=dict)
+    deltas: Mapping[Granularity, list[FileDelta]] = MappingProxyType({})
 
 
-@dataclass
-class CommitClassification:
+class CommitClassification(NamedTuple):
     """Per-commit verdicts at one granularity.
 
     ``redundant`` and ``novel_fragments`` are keyed by the scopes that were
     evaluated. Novel fragments are the distinct added fragments not found in
     the pool, in first-occurrence order, capped for reporting.
     ``added_count`` is ``None`` when a delta's count was not computed, as in
-    a run without ``trace_commits``; ``acceptable`` is always exact.
+    a run without ``trace_commits``, which also collects no novel
+    fragments; ``acceptable`` and ``redundant`` are always exact.
     """
 
     commit_id: str
@@ -93,6 +97,12 @@ class CommitClassification:
     added_count: int | None
     redundant: dict[Scope, bool]
     novel_fragments: dict[Scope, list[str]]
+
+
+def _known(pools: ScopedPools, scope: Scope, path: str) -> Mapping[str, int]:
+    """The fragments the scope's pool holds for a file at ``path``."""
+    pool = pools.global_pool if scope is Scope.GLOBAL else pools.local_pools.get(path)
+    return pool.first_seen if pool is not None else {}
 
 
 def classify_commit(
@@ -108,7 +118,8 @@ def classify_commit(
     The commit's own additions must not be indexed yet; a pool that has
     already advanced to this commit's position raises ``PipelineOrderError``.
     ``added_count`` is ``None`` without ``count``, or when a delta's count
-    is unknown.
+    is unknown. Without ``count``, a scope's first missing fragment settles
+    its verdict and ``novel_fragments`` holds no fragments.
     """
     commit = changes.commit
     if pools.last_indexed is not None and pools.last_indexed >= commit.order_index:
@@ -126,12 +137,17 @@ def classify_commit(
     novel: dict[Scope, list[str]] = {}
 
     for scope in scopes:
+        if not count:
+            # The first added fragment not in the pool settles the verdict.
+            redundant[scope] = acceptable and all(
+                all(map(_known(pools, scope, delta.path).__contains__, delta.added))
+                for delta in deltas)
+            novel[scope] = []
+            continue
         # The added fragments not in the pool, in first-occurrence order.
         missing: dict[str, None] = {}
         for delta in deltas:
-            pool = (pools.global_pool if scope is Scope.GLOBAL
-                    else pools.local_pools.get(delta.path))
-            known = pool.first_seen if pool is not None else {}
+            known = _known(pools, scope, delta.path)
             for fragment in delta.added:
                 if fragment not in known:
                     missing[fragment] = None
@@ -169,8 +185,7 @@ def index_commit(pools: ScopedPools, changes: ChangeSet, granularity: Granularit
     return pools
 
 
-@dataclass
-class ScopeMetrics:
+class ScopeMetrics(NamedTuple):
     """One (granularity, scope) row of the project summary."""
 
     granularity: Granularity
@@ -182,8 +197,7 @@ class ScopeMetrics:
     local_pool_size_median: float | None  # local scope: median of final local pool sizes
 
 
-@dataclass
-class ProjectSummary:
+class ProjectSummary(NamedTuple):
     project: str
     acceptable_commits: dict[Granularity, int]
     metrics: list[ScopeMetrics]
@@ -199,14 +213,16 @@ def _median(sizes: list[int]) -> float | None:
     return float(sizes[mid]) if len(sizes) % 2 else (sizes[mid - 1] + sizes[mid]) / 2
 
 
-@dataclass
 class VerdictCounts:
     """Running verdict totals at one granularity: the acceptable commits,
     and the redundant commits per scope. A run keeps these, not one
     classification per commit, unless it traces commits."""
 
-    acceptable: int = 0
-    redundant: dict[Scope, int] = field(default_factory=dict)
+    __slots__ = ("acceptable", "redundant")
+
+    def __init__(self, acceptable: int = 0, redundant: dict[Scope, int] | None = None) -> None:
+        self.acceptable = acceptable
+        self.redundant = {} if redundant is None else redundant
 
     def add(self, classification: CommitClassification) -> None:
         self.acceptable += classification.acceptable

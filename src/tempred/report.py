@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -61,29 +60,38 @@ POST = "post"
 DEFAULT_DIFF_SIZE_CAP = 200_000
 
 
-@dataclass
 class AnalysisConfig:
-    """Everything a run needs; echoed verbatim into the report."""
+    """Everything a run needs; echoed verbatim into the report. Configs
+    compare by value; ``replace`` derives a changed, validated copy."""
 
-    source: str
-    bundle: bool = False
-    branch: str = "HEAD"
-    since: int | None = None
-    until: int | None = None
-    granularities: tuple[Granularity, ...] = ALL_GRANULARITIES
-    scopes: tuple[Scope, ...] = ALL_SCOPES
-    include_globs: tuple[str, ...] = DEFAULT_INCLUDE_GLOBS
-    exclude_globs: tuple[str, ...] = DEFAULT_EXCLUDE_GLOBS
-    normalize: str = PRE
-    output_format: str = "table"
-    trace_commits: bool = False
-    diff_size_cap: int = DEFAULT_DIFF_SIZE_CAP
-    project: str | None = None
+    __slots__ = ("source", "bundle", "branch", "since", "until", "granularities", "scopes",
+                 "include_globs", "exclude_globs", "normalize", "output_format",
+                 "trace_commits", "diff_size_cap", "project")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        source: str,
+        bundle: bool = False,
+        branch: str = "HEAD",
+        since: int | None = None,
+        until: int | None = None,
+        granularities: Iterable[Granularity | str] = ALL_GRANULARITIES,
+        scopes: Iterable[Scope | str] = ALL_SCOPES,
+        include_globs: Iterable[str] = DEFAULT_INCLUDE_GLOBS,
+        exclude_globs: Iterable[str] = DEFAULT_EXCLUDE_GLOBS,
+        normalize: str = PRE,
+        output_format: str = "table",
+        trace_commits: bool = False,
+        diff_size_cap: int = DEFAULT_DIFF_SIZE_CAP,
+        project: str | None = None,
+    ) -> None:
+        self.source, self.bundle, self.branch = source, bundle, branch
+        self.since, self.until, self.project = since, until, project
+        self.normalize, self.output_format = normalize, output_format
+        self.trace_commits, self.diff_size_cap = trace_commits, diff_size_cap
         try:
-            self.granularities = tuple(Granularity(g) for g in self.granularities)
-            self.scopes = tuple(Scope(s) for s in self.scopes)
+            self.granularities = tuple(Granularity(g) for g in granularities)
+            self.scopes = tuple(Scope(s) for s in scopes)
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
         for name in ("since", "until", "diff_size_cap"):
@@ -92,8 +100,7 @@ class AnalysisConfig:
                 continue  # an open time bound
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        for name in ("include_globs", "exclude_globs"):
-            globs = getattr(self, name)
+        for name, globs in (("include_globs", include_globs), ("exclude_globs", exclude_globs)):
             if isinstance(globs, str):
                 raise ConfigurationError(f"{name} must be a sequence of globs, got {globs!r}")
             setattr(self, name, tuple(globs))
@@ -113,6 +120,18 @@ class AnalysisConfig:
             raise ConfigurationError(f"unknown output format {self.output_format!r}")
         if self.diff_size_cap < 0:
             raise ConfigurationError(f"diff_size_cap must be >= 0, got {self.diff_size_cap}")
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def replace(self, **changes) -> AnalysisConfig:
+        """A copy with ``changes`` applied, validated as a new config is."""
+        return type(self)(**{**self._fields(), **changes})
 
     @property
     def project_name(self) -> str:
@@ -203,7 +222,6 @@ def _fragment(granularities: tuple[Granularity, ...], normalize: str,
                  sum(fallbacks))
 
 
-@dataclass
 class _PipelineState:
     """What one run carries from commit to commit.
 
@@ -230,21 +248,21 @@ class _PipelineState:
     the state.
     """
 
-    granularities: tuple[Granularity, ...]
-    normalize: str
-    rules: FileFilterRules
-    # Lexer fallbacks in the new versions of the retained files.
-    fallback_tokens: int = 0
-    skipped_oversize: list[dict] = field(default_factory=list)
-    # File pairs for which ``verdict_delta`` gave no delta and the full
-    # differ ran.
-    diff_fallbacks: int = 0
+    __slots__ = ("granularities", "normalize", "rules", "fallback_tokens", "skipped_oversize",
+                 "diff_fallbacks", "line_tokens", "fragment", "texts", "__weakref__")
 
-    def __post_init__(self) -> None:
+    def __init__(self, granularities: tuple[Granularity, ...], normalize: str,
+                 rules: FileFilterRules) -> None:
+        self.granularities, self.normalize, self.rules = granularities, normalize, rules
+        # Lexer fallbacks in the new versions of the retained files.
+        self.fallback_tokens = 0
+        self.skipped_oversize: list[dict] = []
+        # File pairs for which ``verdict_delta`` gave no delta and the full
+        # differ ran.
+        self.diff_fallbacks = 0
         self.line_tokens = lru_cache(LINE_MEMO_ENTRIES)(
-            partial(_lex_line, Granularity.TOKEN in self.granularities))
-        self.fragment = partial(_fragment, self.granularities, self.normalize,
-                                self.line_tokens)
+            partial(_lex_line, Granularity.TOKEN in granularities))
+        self.fragment = partial(_fragment, granularities, normalize, self.line_tokens)
         self.texts: OrderedDict[str, tuple[str, _Text]] = OrderedDict()
 
     def sides(self, change: FileChange) -> tuple[_Text, _Text]:
@@ -292,7 +310,7 @@ def _commit_changes(commit: CommitRecord, config: AnalysisConfig,
     full diff's would, and are counted only when the trace prints the
     counts; ``post`` mode filters the full diff's fragments, so it always
     diffs."""
-    changes = ChangeSet(commit=commit)
+    changes = ChangeSet(commit, {})
     fast = pools is not None and config.normalize == PRE
     retained = filter_files(commit.file_changes, state.rules)
     # Each side is fragmented at most once, whatever the granularities analyzed.
@@ -349,8 +367,7 @@ def iter_changesets(
         yield _commit_changes(commit, config, state)
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """Everything a run produces. ``classifications`` holds one
     classification per commit and granularity only when commits are traced
     (``trace_commits``); it is ``None`` otherwise, since the summary needs

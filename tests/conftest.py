@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import subprocess
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable
 
@@ -65,7 +64,7 @@ def assert_untraced_matches(config: AnalysisConfig, *references: Report) -> None
     """Run ``config`` without the trace. The report must keep no
     classifications, and its summary, diagnostics and commit count must
     equal each reference report's."""
-    untraced = run_analysis(replace(config, trace_commits=False))
+    untraced = run_analysis(config.replace(trace_commits=False))
     assert untraced.classifications is None
     for reference in references:
         assert untraced.summary == reference.summary

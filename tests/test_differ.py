@@ -286,6 +286,18 @@ def test_delta_fragments_occur_in_their_sequences(a: list[str], b: list[str]):
     assert len(b) - len(a) == len(delta.added) - len(delta.removed)
 
 
+def test_delta_sides_stay_out_of_eq_and_repr():
+    line = Granularity.LINE
+    full = diff_fragments(["a"], ["a", "b"], path="A.java", granularity=line)
+    verdict = differ.FileDelta(path="A.java", granularity=line, added=["b"], removed=[],
+                               sides=(["a"], ["a", "b"]))
+    assert verdict == full and repr(verdict) == repr(full)
+    assert repr(full) == ("FileDelta(path='A.java', granularity=<Granularity.LINE: 'line'>, "
+                          "added=['b'], removed=[], inserts=None, any_inserted=False)")
+    assert verdict != differ.FileDelta(path="A.java", granularity=line, added=["b"],
+                                       removed=[], any_inserted=True)
+
+
 def test_output_is_deterministic():
     rng = random.Random(11)
     for _ in range(200):

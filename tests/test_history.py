@@ -137,6 +137,14 @@ def test_filter_memo_agrees_with_the_rules_and_stays_out_of_eq_and_repr(monkeypa
     assert rules == FileFilterRules() and repr(rules) == repr(FileFilterRules())
 
 
+def test_commit_records_construct_by_keyword():
+    change = FileChange(path="A.java", before=None, after="x;\n")
+    record = CommitRecord(commit_id="c0", order_index=0, timestamp=5, file_changes=[change])
+    assert (record.commit_id, record.order_index, record.timestamp) == ("c0", 0, 5)
+    assert record.file_changes == [FileChange("A.java", None, "x;\n")]
+    assert CommitRecord(commit_id="c1", order_index=1, timestamp=6).file_changes == ()
+
+
 # ---------------------------------------------------------------------------
 # Bundles
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -24,7 +23,14 @@ from tempred import report as report_module
 from tempred.cli import main
 from tempred.errors import ConfigurationError
 from tempred.fragmenter import Granularity, LexStats, lex
-from tempred.history import CommitRecord, FileChange, export_bundle, load_history_bundle
+from tempred.history import (
+    DEFAULT_EXCLUDE_GLOBS,
+    DEFAULT_INCLUDE_GLOBS,
+    CommitRecord,
+    FileChange,
+    export_bundle,
+    load_history_bundle,
+)
 from tempred.redundancy import NOVEL_FRAGMENT_CAP, Scope, ScopedPools, index_commit
 from tempred.report import (
     POST,
@@ -115,6 +121,32 @@ def test_config_takes_integer_or_absent_time_bounds():
         AnalysisConfig(source="x", diff_size_cap=None)
 
 
+def test_config_constructs_compares_by_value_and_derives_validated_copies():
+    config = AnalysisConfig("repo", trace_commits=True)
+    assert (config.source, config.bundle, config.branch, config.since, config.until,
+            config.granularities, config.scopes, config.include_globs, config.exclude_globs,
+            config.normalize, config.output_format, config.trace_commits,
+            config.diff_size_cap, config.project) == (
+        "repo", False, "HEAD", None, None, (Granularity.LINE, Granularity.TOKEN),
+        (Scope.GLOBAL, Scope.LOCAL), DEFAULT_INCLUDE_GLOBS, DEFAULT_EXCLUDE_GLOBS, "pre",
+        "table", True, 200_000, None)
+    same = AnalysisConfig(source="repo", trace_commits=True, granularities=["line", "token"],
+                          exclude_globs=list(DEFAULT_EXCLUDE_GLOBS))
+    assert config == same
+    assert config != AnalysisConfig("repo") and config != config.echo()
+
+    derived = config.replace(granularities=["token"], diff_size_cap=5)
+    assert derived == AnalysisConfig("repo", trace_commits=True,
+                                     granularities=(Granularity.TOKEN,), diff_size_cap=5)
+    assert config == AnalysisConfig("repo", trace_commits=True)  # left as it was
+    with pytest.raises(ConfigurationError, match="'lines' is not a valid Granularity"):
+        config.replace(granularities=("lines",))
+    with pytest.raises(ConfigurationError, match="include_globs must be a sequence"):
+        config.replace(include_globs="**/*.java")
+    with pytest.raises(TypeError):
+        config.replace(colour="red")
+
+
 def test_empty_bundle_report_has_zero_commits_and_null_redundancy(bundle_writer):
     bundle = bundle_writer([])
     report = run_analysis(AnalysisConfig(source=str(bundle), bundle=True))
@@ -147,7 +179,7 @@ def test_repeated_runs_are_byte_identical(small_bundle):
 def test_untraced_report_keeps_no_classifications_and_renders(small_bundle):
     config = AnalysisConfig(source=str(small_bundle), bundle=True)
     untraced = run_analysis(config)
-    traced = run_analysis(replace(config, trace_commits=True))
+    traced = run_analysis(config.replace(trace_commits=True))
     assert untraced.classifications is None
     traced_json = report_to_dict(traced)
     del traced_json["commits"]
@@ -276,14 +308,17 @@ def test_table_renders_summary_percentages(small_bundle):
     # A summary in the shape of a published per-project row: 1687 acceptable
     # commits, 9% line-global and 39% token-global redundancy.
     report = run_analysis(AnalysisConfig(source=str(small_bundle), bundle=True))
-    report.summary.acceptable_commits = {Granularity.LINE: 1687, Granularity.TOKEN: 1687}
+    metrics = []
     for metric in report.summary.metrics:
-        metric.acceptable_commits = 1687
+        metric = metric._replace(acceptable_commits=1687)
         if metric.scope is Scope.GLOBAL:
-            metric.temporal_redundancy = (
-                0.09 if metric.granularity is Granularity.LINE else 0.39
+            metric = metric._replace(
+                temporal_redundancy=0.09 if metric.granularity is Granularity.LINE else 0.39
             )
-    table = render_table([report])
+        metrics.append(metric)
+    summary = report.summary._replace(
+        acceptable_commits={Granularity.LINE: 1687, Granularity.TOKEN: 1687}, metrics=metrics)
+    table = render_table([report._replace(summary=summary)])
     row = table.splitlines()[2]
     assert "1687" in row
     assert "9%" in row
@@ -753,6 +788,14 @@ def test_run_path_imports_neither_statistics_nor_csv():
     # Each adds to every run's start-up: for a median, for CSV output only, or
     # (logging) for a default warning sink that writes a line to stderr.
     assert _loaded_by("import tempred.report", "statistics", "csv", "logging") == []
+
+
+def test_run_path_imports_neither_dataclasses_nor_hashlib():
+    # ``dataclasses`` brings ``inspect`` and, through it, ``ast``, ``dis`` and
+    # ``tokenize``; ``hashlib`` loads OpenSSL. Only bundle export names blobs.
+    assert _loaded_by("import tempred.report", "dataclasses", "inspect", "ast", "dis",
+                      "tokenize", "string", "hashlib") == []
+    assert _loaded_by("import tempred.cli", "hashlib") == []
 
 
 def test_redundancy_imports_neither_differ_nor_history():

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import random
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -57,7 +56,8 @@ def assert_matches_reference(config: AnalysisConfig, monkeypatch, commits=None):
     reference, on the same stream (``commits``, or the configured source
     opened anew each time). With the trace on, every classification must
     equal the reference's and be kept in the report; with it off, every one
-    but its ``added_count``, which is ``None``, and the report keeps none.
+    but its ``added_count``, which is ``None``, and its ``novel_fragments``,
+    which are empty, and the report keeps none.
     Both runs must fill every pool entry, in order, as the reference does,
     and fall back to the full diff on the same pairs. Returns the untraced
     report."""
@@ -65,7 +65,9 @@ def assert_matches_reference(config: AnalysisConfig, monkeypatch, commits=None):
         return commits if commits is not None else open_source(config)
 
     expected, pools = reference_classify(stream(), config)
-    uncounted = {g: [replace(c, added_count=None) for c in cls]
+    uncounted = {g: [c._replace(added_count=None,
+                                novel_fragments={s: [] for s in c.novel_fragments})
+                     for c in cls]
                  for g, cls in expected.items()}
     reports = {}
     for trace_commits, want in ((True, expected), (False, uncounted)):
@@ -78,7 +80,7 @@ def assert_matches_reference(config: AnalysisConfig, monkeypatch, commits=None):
         with monkeypatch.context() as patch:
             patch.setattr(report_module, "index_commit", capture)
             recorded = record_classifications(patch, config)
-            report = analyze_commits(stream(), replace(config, trace_commits=trace_commits))
+            report = analyze_commits(stream(), config.replace(trace_commits=trace_commits))
         assert recorded == want
         assert report.classifications == (want if trace_commits else None)
         assert report.summary == summarize(expected, pools, project=config.project_name,
