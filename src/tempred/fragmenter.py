@@ -19,6 +19,8 @@ right-stripped (if a quote occurs), and fallback characters are counted
 occurs). At trailing whitespace ``\\s*`` gives its last character back to
 the single-character alternative; ``lex`` drops that token. A possessive
 ``\\s*+`` would avoid it but needs Python 3.11, and 3.10 is supported.
+``lex_line`` lexes one normalized line, on which only the fallback count
+has anything to do.
 
 Fragment equality is exact, case-sensitive string equality; literals keep
 their actual values.
@@ -155,6 +157,21 @@ def lex(source: str, include_comments: bool = False, stats: LexStats | None = No
     if stats is not None and _FALLBACK_CHAR.search(source):
         stats.fallback_tokens += sum(1 for t in tokens if len(t) == 1 and t not in _PLAIN_CHARS)
     return tokens
+
+
+def lex_line(line: str) -> tuple[list[str], int]:
+    """The tokens of one ``fragment_lines`` line and their fallback count,
+    as ``lex(line, stats=...)`` gives them, from one ``findall``.
+
+    Such a line is trimmed and holds no comment outside a literal, and an
+    unterminated literal in it runs to its last, non-space character. So
+    ``lex``'s whole-text passes find nothing to do on it: there is no
+    trailing whitespace token, no comment token and no literal to strip.
+    """
+    tokens = _TOKEN.findall(line)
+    if _FALLBACK_CHAR.search(line) is None:
+        return tokens, 0
+    return tokens, sum(1 for t in tokens if len(t) == 1 and t not in _PLAIN_CHARS)
 
 
 def is_comment_token(token: str) -> bool:

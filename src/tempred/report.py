@@ -13,9 +13,9 @@ from __future__ import annotations
 import io
 import json
 from collections import OrderedDict
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .differ import FileDelta, diff_fragments, pair_middles, verdict_delta
 from .errors import ConfigurationError
@@ -25,6 +25,7 @@ from .fragmenter import (
     fragment_lines,
     is_comment_token,
     lex,
+    lex_line,
     split_raw_lines,
     strip_comments,
 )
@@ -158,11 +159,14 @@ class AnalysisConfig:
 # version per path avoids re-fragmenting nearly everything.
 FRAGMENT_CACHE_PATHS = 1024
 
-# Bound on the normalized line -> (line, tokens) LRU. An entry also gives
-# back its line, so cached texts share one string per distinct line. The
-# 3000-commit, 40-file `git-3k` history (seed 1) has 4,691 distinct lines;
-# at a few hundred bytes an entry, a full LRU stays within tens of MB.
-LINE_MEMO_ENTRIES = 1 << 16
+# Bound on the fragments the line memo holds: one per line and one per
+# token of each entry. Under ``tracemalloc``, on CPython 3.11, a memo holds
+# 26 B a fragment filled with the distinct lines of the stdlib's top-level
+# modules (81,248 lines, 9.3 tokens a line) and 32 B filled with those of a
+# 4,000-commit synthetic history, strings included; so a full memo holds
+# 13-16 MiB. The `git-3k` (seed 1) and `rewrites` (seed 3) runs end with
+# 39,784 and 37,232 fragments held.
+LINE_MEMO_FRAGMENTS = 1 << 19
 
 
 class _Text(NamedTuple):
@@ -196,17 +200,58 @@ def post_filter_delta(delta: FileDelta) -> None:
         delta.removed = [f for f in delta.removed if not is_comment_token(f)]
 
 
-def _lex_line(want_tokens: bool, line: str) -> tuple[str, tuple[str, ...], int]:
-    """A normalized line itself, so that texts share the memo's string, with
-    its tokens and fallback count when tokens are analyzed."""
-    if not want_tokens:
-        return line, (), 0
-    stats = LexStats()
-    return line, tuple(lex(line, stats=stats)), stats.fallback_tokens
+class _LineMemo:
+    """Normalized line -> (line, tokens, fallback count), shared across the
+    files and commits of one ``pre``-mode run.
+
+    ``entries`` is bounded by the fragments it holds, 1 + len(tokens) an
+    entry, so that a few long lines cannot hold more than many short ones.
+    A new entry that does not fit first drops the older entries, in
+    insertion order, until the memo holds at most half its bound and the
+    entry fits, and empties ``table``, which bounds the token table too. An
+    entry heavier than the whole bound is returned but not kept. The token
+    table is the run's own: ``sys.intern``'s strings are immortal from
+    CPython 3.12, so they would outlive the run.
+    """
+
+    __slots__ = ("want_tokens", "entries", "table", "held")
+
+    def __init__(self, want_tokens: bool) -> None:
+        self.want_tokens = want_tokens
+        self.entries: dict[str, tuple[str, tuple[str, ...], int]] = {}
+        self.table: dict[str, str] = {}
+        # Fragments held: 1 + len(tokens) per entry.
+        self.held = 0
+
+    def add(self, line: str) -> tuple[str, tuple[str, ...], int]:
+        """The entry for a line the memo does not hold, kept if it fits: the
+        line itself, so that texts share the memo's string, and, when tokens
+        are analyzed, its tokens and their fallback count. Each token is
+        ``table``'s string for it, so equal tokens of different lines are
+        one string too."""
+        if self.want_tokens:
+            lexed, fallback = lex_line(line)
+            # A list first, for the reason given in ``_fragment``.
+            tokens = tuple(list(map(self.table.setdefault, lexed, lexed)))
+        else:
+            tokens, fallback = (), 0
+        entry = line, tokens, fallback
+        weight, bound = 1 + len(tokens), LINE_MEMO_FRAGMENTS
+        if self.held + weight > bound:
+            if weight > bound:
+                return entry
+            entries, limit = self.entries, min(bound // 2, bound - weight)
+            for old in list(entries):
+                if self.held <= limit:
+                    break
+                self.held -= 1 + len(entries.pop(old)[1])
+            self.table.clear()
+        self.entries[line] = entry
+        self.held += weight
+        return entry
 
 
-def _fragment(granularities: tuple[Granularity, ...], normalize: str,
-              line_tokens: Callable[[str], tuple[str, tuple[str, ...], int]],
+def _fragment(granularities: tuple[Granularity, ...], normalize: str, memo: _LineMemo,
               text: str) -> _Text:
     want_tokens = Granularity.TOKEN in granularities
     if normalize == POST:
@@ -216,7 +261,8 @@ def _fragment(granularities: tuple[Granularity, ...], normalize: str,
         return _Text(lines, tokens, len(tokens), stats.fallback_tokens)
     # Lists, not tuples built from iterators: CPython resizes such a tuple to
     # its length, and its free lists then keep the tuple once it dies.
-    entries = list(map(line_tokens, fragment_lines(text)))
+    cached = memo.entries.get
+    entries = [cached(line) or memo.add(line) for line in fragment_lines(text)]
     lines, per_line, fallbacks = list(zip(*entries)) or ((), (), ())
     return _Text(lines, per_line if want_tokens else (), sum(map(len, per_line)),
                  sum(fallbacks))
@@ -234,22 +280,21 @@ class _PipelineState:
     is fragmented again.
     In ``pre`` mode, tokens never cross a normalized line: lexing a file
     gives the same tokens, and the same fallback count, as lexing each of
-    its ``fragment_lines`` in turn. So a text keeps, per line, the line and
-    the token tuple that ``line_tokens`` gives back, an LRU of line ->
-    (line, tokens, fallback count) shared across files and commits, since
-    most lines survive from one version to the next: a run holds one string
-    per distinct line, not one per file version, and no whole-file token
-    tuple. Runs without tokens use the same LRU and lex nothing. ``pair``
-    trims a file pair once by line and flattens only the tokens of the lines
-    that differ (``differ.pair_middles``), so token work and memory follow
-    the edit, not the file. ``post`` mode keeps comment tokens, which can
-    span lines, so it lexes and diffs whole files. The LRU wraps a
-    module-level function, not a method, so it holds no reference back to
+    its ``fragment_lines`` in turn (``fragmenter.lex_line``). So a text
+    keeps, per line, the line and the token tuple of its ``memo`` entry,
+    since most lines survive from one version to the next: a run holds one
+    string per distinct line and one per distinct token, not one per file
+    version, and no whole-file token tuple. Runs without tokens use the
+    same memo and lex nothing. ``pair`` trims a file pair once by line and
+    flattens only the tokens of the lines that differ
+    (``differ.pair_middles``), so token work and memory follow the edit,
+    not the file. ``post`` mode keeps comment tokens, which can span lines,
+    so it lexes and diffs whole files. The memo holds no reference back to
     the state.
     """
 
     __slots__ = ("granularities", "normalize", "rules", "fallback_tokens", "skipped_oversize",
-                 "diff_fallbacks", "line_tokens", "fragment", "texts", "__weakref__")
+                 "diff_fallbacks", "memo", "fragment", "texts", "__weakref__")
 
     def __init__(self, granularities: tuple[Granularity, ...], normalize: str,
                  rules: FileFilterRules) -> None:
@@ -260,9 +305,8 @@ class _PipelineState:
         # File pairs for which ``verdict_delta`` gave no delta and the full
         # differ ran.
         self.diff_fallbacks = 0
-        self.line_tokens = lru_cache(LINE_MEMO_ENTRIES)(
-            partial(_lex_line, Granularity.TOKEN in granularities))
-        self.fragment = partial(_fragment, granularities, normalize, self.line_tokens)
+        self.memo = _LineMemo(Granularity.TOKEN in granularities)
+        self.fragment = partial(_fragment, granularities, normalize, self.memo)
         self.texts: OrderedDict[str, tuple[str, _Text]] = OrderedDict()
 
     def sides(self, change: FileChange) -> tuple[_Text, _Text]:

@@ -14,6 +14,7 @@ from tempred.fragmenter import (
     LexStats,
     fragment_lines,
     lex,
+    lex_line,
     strip_comments,
 )
 from tempred.history import load_history_bundle
@@ -505,6 +506,41 @@ def test_lex_matches_reference_lexer_on_stdlib_modules():
     for name in _STDLIB_MODULES:
         text = (stdlib / name).read_text(encoding="utf-8")
         assert _lex_both_modes(lex, text) == _lex_both_modes(reference_lex, text), name
+
+
+# ``lex_line`` skips ``lex``'s whole-text passes, which find nothing to do on
+# a normalized line; this checks that claim line by line.
+def _assert_lex_line_matches_lex(src: str) -> None:
+    for line in fragment_lines(src):
+        stats = LexStats()
+        tokens, fallback = lex_line(line)
+        assert (tuple(tokens), fallback) == (tuple(lex(line, stats=stats)),
+                                             stats.fallback_tokens), repr(line[:80])
+
+
+@settings(max_examples=2000)
+@given(derivation_source)
+def test_lex_line_matches_lex_on_normalized_lines(src: str):
+    _assert_lex_line_matches_lex(src)
+
+
+# Long-input texts: a 1-MB line of identifiers, an unterminated block comment
+# before code, a 1-MB unterminated string, and 1 MB of backslashes inside a
+# string, an even and an odd number of them.
+_LONG_LINES = (
+    "x = " + "ab1 " * (2**18) + ";",
+    "int a = 1;\n/* open\n" + "int b = 2;\n" * 1000,
+    's = "' + "x" * 2**20,
+    's = "' + "\\" * 2**20 + '";',
+    's = "' + "\\" * (2**20 + 1) + '";',
+)
+
+
+def test_lex_line_matches_lex_on_synth_versions_stdlib_and_long_lines(synth_versions):
+    stdlib = Path(sysconfig.get_paths()["stdlib"])
+    modules = [(stdlib / name).read_text(encoding="utf-8") for name in _STDLIB_MODULES]
+    for text in [*synth_versions, JAVA_SAMPLE, *modules, *_LONG_LINES]:
+        _assert_lex_line_matches_lex(text)
 
 
 def test_determinism():

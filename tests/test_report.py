@@ -22,7 +22,7 @@ from tempred import history as history_module
 from tempred import report as report_module
 from tempred.cli import main
 from tempred.errors import ConfigurationError
-from tempred.fragmenter import Granularity, LexStats, lex
+from tempred.fragmenter import Granularity, LexStats, fragment_lines, lex, lex_line
 from tempred.history import (
     DEFAULT_EXCLUDE_GLOBS,
     DEFAULT_INCLUDE_GLOBS,
@@ -188,19 +188,18 @@ def test_untraced_report_keeps_no_classifications_and_renders(small_bundle):
         assert emit_report(untraced, output_format) == emit_report(traced, output_format)
 
 
-# commit count -> (bytes retained, peak bytes) of one untraced run.
-_SATURATED_RUNS: dict[int, tuple[int, int]] = {}
+# (history, commit count) -> (bytes retained, peak bytes, distinct fragments
+# in the global line and token pools) of one untraced run.
+_UNTRACED_RUNS: dict[tuple[str, int], tuple[int, int, int]] = {}
 
 
-def _saturated_run(commit_count: int) -> tuple[int, int]:
-    """What an untraced analysis of a reuse-saturated history retains, and its
-    ``tracemalloc`` peak. Every line a commit adds after the first was added
-    before, so the pools stop growing, while each file grows by about one
-    line per edit."""
-    if commit_count not in _SATURATED_RUNS:
-        commits = _Generator(HistorySpec(seed=3, commit_count=commit_count, file_count=40,
-                                         reuse_probability=1.0)).build()
-        config = AnalysisConfig(source="saturated", bundle=True)
+def _untraced_run(name: str, spec: HistorySpec) -> tuple[int, int, int]:
+    """What an untraced analysis of a generated history retains, its
+    ``tracemalloc`` peak, and the size of its global pools."""
+    key = name, spec.commit_count
+    if key not in _UNTRACED_RUNS:
+        commits = _Generator(spec).build()
+        config = AnalysisConfig(source=name, bundle=True)
         # A full collection empties CPython's free lists, so the peak does not
         # depend on what ran before. CPython 3.11 then keeps every 20-tuple
         # freed into its free list and never takes one back out, up to 2,000
@@ -216,9 +215,28 @@ def _saturated_run(commit_count: int) -> tuple[int, int]:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert report.commit_count == commit_count
-        _SATURATED_RUNS[commit_count] = retained, peak
-    return _SATURATED_RUNS[commit_count]
+        assert report.commit_count == spec.commit_count
+        pools = sum(m.pool_size for m in report.summary.metrics if m.scope is Scope.GLOBAL)
+        _UNTRACED_RUNS[key] = retained, peak, pools
+    return _UNTRACED_RUNS[key]
+
+
+def _saturated_run(commit_count: int) -> tuple[int, int]:
+    """What an untraced analysis of a reuse-saturated history retains, and its
+    ``tracemalloc`` peak. Every line a commit adds after the first was added
+    before, so the pools stop growing, while each file grows by about one
+    line per edit."""
+    spec = HistorySpec(seed=3, commit_count=commit_count, file_count=40, reuse_probability=1.0)
+    return _untraced_run("saturated", spec)[:2]
+
+
+def _fresh_run(commit_count: int) -> tuple[int, int, int]:
+    """An untraced analysis of a history that keeps adding fresh code: no
+    added line is drawn from earlier ones, and the alphabet is too large to
+    repeat itself, so the pools grow with every commit."""
+    spec = HistorySpec(seed=3, commit_count=commit_count, file_count=40,
+                       fragment_alphabet_size=10**6, reuse_probability=0.0)
+    return _untraced_run("fresh", spec)
 
 
 @pytest.mark.parametrize("commit_count", [2000, 4000])
@@ -240,6 +258,26 @@ def test_untraced_run_peak_is_flat_on_reuse_saturated_history():
     # held version each grow, by about one line per edit.
     (_, short), (_, long) = _saturated_run(2000), _saturated_run(4000)
     assert long <= 1.15 * short, f"{short / 2**20:.2f} -> {long / 2**20:.2f} MiB"
+
+
+# The peak of a fresh-content run per distinct fragment in its global pools:
+# each new line and token, its memo entry, its pool entries and the texts
+# that hold it. It was 254 B at 2,000 commits and 249 B at 4,000 on CPython
+# 3.11, against 335 B and 331 B with a new string per lexed token.
+FRESH_PEAK_PER_FRAGMENT = 280
+
+
+@pytest.mark.parametrize("commit_count", [2000, 4000])
+def test_untraced_run_peak_follows_distinct_fragments_on_fresh_history(commit_count):
+    _, peak, pools = _fresh_run(commit_count)
+    assert peak < FRESH_PEAK_PER_FRAGMENT * pools, f"{peak / pools:.0f} B a fragment"
+
+
+def test_untraced_run_peak_grows_with_the_pools_on_fresh_history():
+    (_, short, short_pools), (_, long, long_pools) = _fresh_run(2000), _fresh_run(4000)
+    assert long_pools > 1.8 * short_pools
+    assert long / short <= 1.15 * long_pools / short_pools, (
+        f"{short / 2**20:.2f} -> {long / 2**20:.2f} MiB, {short_pools} -> {long_pools} fragments")
 
 
 @pytest.mark.parametrize("granularities", [(Granularity.LINE, Granularity.TOKEN),
@@ -275,6 +313,43 @@ def test_equal_lines_are_one_string_in_texts_deltas_and_pools(granularities):
     assert all(shared[f] is f for f in added)
     keys = list(pools[Granularity.LINE].global_pool.first_seen)
     assert keys == rows and all(shared[key] is key for key in keys)
+
+
+def test_equal_tokens_and_lines_are_one_string_after_an_untraced_run(monkeypatch):
+    # Lexing makes a new string for every token longer than one character;
+    # only the memo's token table can make equal tokens one object.
+    commits = _Generator(HistorySpec(seed=5, commit_count=200, file_count=6,
+                                     reuse_probability=0.6, locality_bias=0.2,
+                                     token_recombination=0.3)).build()
+    states, pools = [], {}
+
+    def recording_make_state(config):
+        states.append(make_state(config))
+        return states[-1]
+
+    def recording_index_commit(scoped, changes, granularity):
+        pools[granularity] = scoped
+        index_commit(scoped, changes, granularity)
+
+    make_state = report_module._make_state
+    monkeypatch.setattr(report_module, "_make_state", recording_make_state)
+    monkeypatch.setattr(report_module, "index_commit", recording_index_commit)
+    analyze_commits(commits, AnalysisConfig(source="reuse", bundle=True))
+    [state] = states
+    entries = state.memo.entries.values()
+    texts = [text for _, text in state.texts.values()]
+    for granularity, held in ((Granularity.LINE, [line for line, _, _ in entries]),
+                              (Granularity.TOKEN, [t for _, ts, _ in entries for t in ts])):
+        scoped = pools[granularity]
+        in_texts = [f for text in texts for f in (
+            text.lines if granularity is Granularity.LINE else
+            [t for ts in text.tokens for t in ts])]
+        # Cross-file reuse: some fragment is in more than one local pool.
+        local_keys = [f for local in scoped.local_pools.values() for f in local.first_seen]
+        assert len(local_keys) > len(set(local_keys))
+        everywhere = [*held, *in_texts, *scoped.global_pool.first_seen, *local_keys]
+        assert len({id(f) for f in everywhere}) == len(set(everywhere)), granularity
+    assert all(key is line for key, (line, _, _) in state.memo.entries.items())
 
 
 def test_csv_has_one_row_per_project_granularity_scope(small_bundle):
@@ -468,19 +543,23 @@ def test_line_token_memo_cap_changes_no_output(bundle_writer, monkeypatch):
     assert whole_file.fallback_tokens == 11
     assert json.loads(expected)["diagnostics"]["fallback_tokens"] == whole_file.fallback_tokens
 
-    monkeypatch.setattr(report_module, "LINE_MEMO_ENTRIES", 2)
+    # About two lines' worth: 1 + 5 fragments for "int a = 1;".
+    monkeypatch.setattr(report_module, "LINE_MEMO_FRAGMENTS", 12)
     assert emit_report(run_analysis(config), "json") == expected
     state = report_module._make_state(config)
     for text in versions:
         state.fragment(text)
-        assert state.line_tokens.cache_info().currsize <= 2
+        memo = state.memo
+        assert memo.held == sum(1 + len(tokens) for _, tokens, _ in memo.entries.values())
+        assert 0 < memo.held <= 12
+    assert len(memo.entries) < len({line for text in versions for line in fragment_lines(text)})
 
 
 # Every bound on a run-path cache, path map, buffer or look-ahead window. None
 # of them may change a report; a new ``lru_cache`` must name its bound here.
 RUN_PATH_BOUNDS = [
     (report_module, "FRAGMENT_CACHE_PATHS"),
-    (report_module, "LINE_MEMO_ENTRIES"),
+    (report_module, "LINE_MEMO_FRAGMENTS"),
     (history_module, "FILTER_MEMO_ENTRIES"),
     (history_module, "_REUSE_BLOB_PATHS"),
     (history_module, "_REQUEST_WINDOW"),
@@ -824,15 +903,19 @@ def test_pre_mode_diffs_only_the_changed_lines_tokens(bundle_writer, monkeypatch
     lexed: list[str] = []
     pairs: list[tuple] = []
 
-    def recording_lex(source, **kwargs):
+    def recording_lex_line(source):
         lexed.append(source)
-        return lex(source, **kwargs)
+        return lex_line(source)
+
+    def whole_text_lex(source, **kwargs):
+        raise AssertionError("pre mode lexes no whole text")
 
     def recording_verdict_delta(before, after, *args, **kwargs):
         pairs.append((kwargs["granularity"], list(before), list(after)))
         return differ_module.verdict_delta(before, after, *args, **kwargs)
 
-    monkeypatch.setattr(report_module, "lex", recording_lex)
+    monkeypatch.setattr(report_module, "lex_line", recording_lex_line)
+    monkeypatch.setattr(report_module, "lex", whole_text_lex)
     monkeypatch.setattr(report_module, "verdict_delta", recording_verdict_delta)
     config = AnalysisConfig(source=str(bundle), bundle=True)
     report = run_analysis(config)
