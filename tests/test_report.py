@@ -4,19 +4,21 @@ from __future__ import annotations
 
 import ast
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
 
+import tempred
 from tempred import differ as differ_module
 from tempred import history as history_module
 from tempred import report as report_module
@@ -594,9 +596,8 @@ def fallback_history(tmp_path_factory) -> list[tuple[AnalysisConfig, str]]:
     repo.commit({"src/B.java": v[1], "src/L.java": "".join(rows)})
     timestamps = sorted(int(t) for t in repo._run("log", "--format=%ct").split())
     bundle = root / "bundle"
-    exported = CliRunner().invoke(main, ["export-bundle", "--source", str(repo.path),
-                                         "--out", str(bundle)])
-    assert exported.exit_code == 0, exported.output
+    status, _, err = run_cli("export-bundle", "--source", str(repo.path), "--out", str(bundle))
+    assert status == 0, err
     sources = [
         {"source": str(repo.path)},
         {"source": str(repo.path), "since": timestamps[2], "until": timestamps[-2]},
@@ -826,14 +827,18 @@ def test_file_over_the_cap_at_one_granularity_is_skipped_at_both(bundle_writer):
 
 
 def test_no_module_imports_a_private_name_from_another():
-    # A private name has one owner: the module that defines it.
+    # A private name has one owner: the module that defines it. A dunder such
+    # as the package's ``__version__`` is public, not private.
+    def private(name: str) -> bool:
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
     offenders = []
     for path in sorted(Path(history_module.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.level:
                 offenders += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
                               f"import {alias.name}"
-                              for alias in node.names if alias.name.startswith("_")]
+                              for alias in node.names if private(alias.name)]
     assert offenders == []
 
 
@@ -933,31 +938,77 @@ def test_pre_mode_diffs_only_the_changed_lines_tokens(bundle_writer, monkeypatch
 # ---------------------------------------------------------------------------
 
 
+def run_cli(*args: str) -> tuple[int, str, str]:
+    """Run ``tempred.cli.main`` in-process: ``(status, stdout, stderr)``. A
+    usage error, ``--help`` and ``--version`` end in argparse's SystemExit."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            status = main(list(args))
+        except SystemExit as exc:
+            status = exc.code
+    return status, stdout.getvalue(), stderr.getvalue()
+
+
 def test_cli_analyze_bundle_json(small_bundle, schema):
-    runner = CliRunner()
-    result = runner.invoke(
-        main, ["analyze", "--source", str(small_bundle), "--bundle", "--format", "json"]
-    )
-    assert result.exit_code == 0, result.output
-    payload = json.loads(result.output)
-    jsonschema.validate(payload, schema)
+    status, out, err = run_cli("analyze", "--source", str(small_bundle), "--bundle",
+                               "--format", "json")
+    assert status == 0, err
+    jsonschema.validate(json.loads(out), schema)
+
+
+def test_cli_entry_point_runs_in_a_fresh_interpreter(small_bundle):
+    args = ["analyze", "--source", str(small_bundle), "--bundle", "--format", "json"]
+    env = {**os.environ, "PYTHONPATH": str(Path(report_module.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "tempred.cli", *args], env=env,
+                          capture_output=True, text=True)
+    config = AnalysisConfig(source=str(small_bundle), bundle=True, output_format="json")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == emit_report(run_analysis(config), "json")
+
+
+def test_cli_version_prints_the_package_version():
+    assert run_cli("--version") == (0, f"tempred, version {tempred.__version__}\n", "")
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    pyproject = Path(report_module.__file__).resolve().parents[2] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert project["version"] == tempred.__version__
+    assert project["dependencies"] == []
+
+
+def test_cli_imports_neither_click_nor_inspect():
+    assert _loaded_by("import tempred.cli", "click", "inspect") == []
 
 
 def test_cli_runs_are_byte_identical(small_bundle):
-    runner = CliRunner()
     args = ["analyze", "--source", str(small_bundle), "--bundle", "--format", "json"]
-    first = runner.invoke(main, args)
-    second = runner.invoke(main, args)
-    assert first.exit_code == 0 and second.exit_code == 0
-    assert first.output == second.output
+    first, second = run_cli(*args), run_cli(*args)
+    assert first[0] == 0
+    assert first == second
+
+
+@pytest.mark.parametrize("option, field", [("--include", "include_globs"),
+                                           ("--exclude", "exclude_globs")])
+def test_cli_repeatable_globs_replace_the_default(small_bundle, option, field):
+    def echoed(*args: str) -> list[str]:
+        status, out, err = run_cli("analyze", "--source", str(small_bundle), "--bundle",
+                                   "--format", "json", *args)
+        assert status == 0, err
+        return json.loads(out)["config_echo"][field]
+
+    assert echoed(option, "**/*.kt") == ["**/*.kt"]
+    assert echoed(option, "**/*.kt", option, "**/*.scala") == ["**/*.kt", "**/*.scala"]
+    assert echoed() == list(getattr(AnalysisConfig(source="unused"), field))
 
 
 def test_cli_table_output(small_bundle, bundle_writer):
-    runner = CliRunner()
-    result = runner.invoke(main, ["analyze", "--source", str(small_bundle), "--bundle"])
-    assert result.exit_code == 0
-    assert "project" in result.output
-    assert "line global redundancy" in result.output
+    status, out, _ = run_cli("analyze", "--source", str(small_bundle), "--bundle")
+    assert status == 0
+    assert "project" in out
+    assert "line global redundancy" in out
     # Re-spacing a line changes its line but none of its tokens.
     respaced = bundle_writer([
         {"id": "c0", "timestamp": 1,
@@ -965,72 +1016,81 @@ def test_cli_table_output(small_bundle, bundle_writer):
         {"id": "c1", "timestamp": 2,
          "files": [{"path": "A.java", "before": "int a=1;\n", "after": "int a = 1;\n"}]},
     ], "respaced")
-    result = runner.invoke(main, ["analyze", "--source", str(respaced), "--bundle"])
-    assert result.output.splitlines()[2].startswith("respaced  line:2/token:1  ")
+    _, out, _ = run_cli("analyze", "--source", str(respaced), "--bundle")
+    assert out.splitlines()[2].startswith("respaced  line:2/token:1  ")
 
 
 def test_cli_write_to_file(small_bundle, tmp_path):
     out = tmp_path / "report.json"
-    runner = CliRunner()
-    result = runner.invoke(
-        main,
-        ["analyze", "--source", str(small_bundle), "--bundle",
-         "--format", "json", "--out", str(out)],
-    )
-    assert result.exit_code == 0
+    status, stdout, _ = run_cli("analyze", "--source", str(small_bundle), "--bundle",
+                                "--format", "json", "--out", str(out))
+    assert (status, stdout) == (0, "")
     assert json.loads(out.read_text(encoding="utf-8"))["project"] == "bundle"
 
 
 def test_cli_empty_bundle_exits_zero(bundle_writer):
-    runner = CliRunner()
-    result = runner.invoke(
-        main,
-        ["analyze", "--source", str(bundle_writer([])), "--bundle", "--format", "json"],
-    )
-    assert result.exit_code == 0
-    payload = json.loads(result.output)
+    status, out, _ = run_cli("analyze", "--source", str(bundle_writer([])), "--bundle",
+                             "--format", "json")
+    assert status == 0
+    payload = json.loads(out)
     assert payload["commit_count"] == 0
     assert all(m["temporal_redundancy"] is None for m in payload["metrics"])
 
 
+def _assert_usage_error(result: tuple[int, str, str], option: str) -> None:
+    status, out, err = result
+    assert (status, out) == (2, "")
+    assert err.startswith("usage: tempred ")
+    assert f"error: argument {option}: " in err
+
+
 def test_cli_rejects_missing_source(tmp_path):
-    runner = CliRunner()
-    result = runner.invoke(main, ["analyze", "--source", str(tmp_path / "nope")])
-    assert result.exit_code != 0
+    plain_file = tmp_path / "plain.txt"
+    plain_file.write_text("not a directory\n", encoding="utf-8")
+    for source in (tmp_path / "nope", plain_file):
+        _assert_usage_error(run_cli("analyze", "--source", str(source)), "--source")
+
+
+@pytest.mark.parametrize("args, option", [
+    (["--granularity", "foo"], "--granularity"),
+    (["--format", "xml"], "--format"),
+    (["--since", "yesterday"], "--since"),
+], ids=["granularity", "format", "since"])
+def test_cli_rejects_bad_values_with_usage_errors(small_bundle, args, option):
+    _assert_usage_error(run_cli("analyze", "--source", str(small_bundle), "--bundle", *args),
+                        option)
+
+
+def test_cli_export_bundle_rejects_a_file_as_out(small_bundle, tmp_path):
+    plain_file = tmp_path / "plain.txt"
+    plain_file.write_text("not a directory\n", encoding="utf-8")
+    result = run_cli("export-bundle", "--source", str(small_bundle), "--out", str(plain_file))
+    _assert_usage_error(result, "--out")
 
 
 def test_cli_reports_config_errors_nonzero(tmp_path):
     plain = tmp_path / "plain"
     plain.mkdir()
-    runner = CliRunner()
-    result = runner.invoke(main, ["analyze", "--source", str(plain)])
-    assert result.exit_code != 0
-    assert "not a git repository" in result.output
+    result = run_cli("analyze", "--source", str(plain))
+    _assert_clean_cli_error(result, "not a git repository")
 
 
 def test_cli_export_bundle_then_analyze(git_repo, tmp_path):
     git_repo.commit({"src/A.java": "int a = 1;\n"})
     git_repo.commit({"src/A.java": "int a = 1;\nint b = 2;\n"})
     out_dir = tmp_path / "exported"
-    runner = CliRunner()
-    exported = runner.invoke(
-        main,
-        ["export-bundle", "--source", str(git_repo.path), "--out", str(out_dir),
-         "--branch", "main"],
-    )
-    assert exported.exit_code == 0, exported.output
-    analyzed = runner.invoke(
-        main, ["analyze", "--source", str(out_dir), "--bundle", "--format", "json"]
-    )
-    assert analyzed.exit_code == 0
-    assert json.loads(analyzed.output)["commit_count"] == 2
+    status, out, err = run_cli("export-bundle", "--source", str(git_repo.path),
+                               "--out", str(out_dir), "--branch", "main")
+    assert (status, out) == (0, f"bundle written to {out_dir}\n"), err
+    status, out, _ = run_cli("analyze", "--source", str(out_dir), "--bundle", "--format", "json")
+    assert status == 0
+    assert json.loads(out)["commit_count"] == 2
 
 
 def test_cli_oracle_outputs_trace_json(small_bundle, bundle_writer):
-    runner = CliRunner()
-    result = runner.invoke(main, ["oracle", "--bundle", str(small_bundle)])
-    assert result.exit_code == 0, result.output
-    payload = json.loads(result.output)
+    status, out, err = run_cli("oracle", "--bundle", str(small_bundle))
+    assert status == 0, err
+    payload = json.loads(out)
     assert payload["config_echo"]["engine"] == "oracle"
     assert payload["commits"]
     # Both engines return a Report, which renders alike in every format.
@@ -1042,51 +1102,45 @@ def test_cli_oracle_outputs_trace_json(small_bundle, bundle_writer):
     # Both engines report the loader's warnings.
     unordered = str(bundle_writer([{"id": "c0", "timestamp": 200, "files": []},
                                    {"id": "c1", "timestamp": 100, "files": []}], "unordered"))
-    warned = [json.loads(runner.invoke(main, args).output)["diagnostics"]["warnings"]
+    warned = [json.loads(run_cli(*args)[1])["diagnostics"]["warnings"]
               for args in (["oracle", "--bundle", unordered],
                            ["analyze", "--source", unordered, "--bundle", "--format", "json"])]
     assert warned == [["commits[1]: timestamp 100 is earlier than its predecessor"]] * 2
 
 
-def _assert_clean_cli_error(result, message: str) -> None:
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit), result.exception
-    assert result.output.startswith("Error: ")
-    assert message in result.output
+def _assert_clean_cli_error(result: tuple[int, str, str], message: str) -> None:
+    status, out, err = result
+    assert (status, out) == (1, "")
+    assert err.startswith("Error: ")
+    assert err.count("\n") == 1 and message in err
 
 
 def test_cli_rejects_negative_diff_size_cap(small_bundle):
-    result = CliRunner().invoke(
-        main, ["analyze", "--source", str(small_bundle), "--bundle", "--diff-size-cap", "-1"]
-    )
+    result = run_cli("analyze", "--source", str(small_bundle), "--bundle",
+                     "--diff-size-cap", "-1")
     _assert_clean_cli_error(result, "diff_size_cap must be >= 0, got -1")
 
 
 @pytest.mark.parametrize("option", [("--granularity", "line,line"), ("--scope", "global,global")])
 def test_cli_rejects_repeated_selection(small_bundle, option):
-    result = CliRunner().invoke(
-        main, ["analyze", "--source", str(small_bundle), "--bundle", "--format", "csv", *option]
-    )
+    result = run_cli("analyze", "--source", str(small_bundle), "--bundle", "--format", "csv",
+                     *option)
     _assert_clean_cli_error(result, "may be selected once")
 
 
 def test_cli_oracle_out_into_missing_directory_is_a_clean_error(small_bundle, tmp_path):
     out = tmp_path / "missing" / "oracle.json"
-    result = CliRunner().invoke(main, ["oracle", "--bundle", str(small_bundle), "--out", str(out)])
+    result = run_cli("oracle", "--bundle", str(small_bundle), "--out", str(out))
     _assert_clean_cli_error(result, "No such file or directory")
     assert not out.parent.exists()
 
 
 def test_cli_multiple_sources_render_one_row_each(small_bundle, tmp_path):
     other = generate_history(HistorySpec(seed=77, commit_count=6), tmp_path / "other")
-    runner = CliRunner()
-    result = runner.invoke(
-        main,
-        ["analyze", "--source", str(small_bundle), "--source", str(other),
-         "--bundle", "--format", "csv"],
-    )
-    assert result.exit_code == 0
-    rows = result.output.strip().splitlines()[1:]
+    status, out, _ = run_cli("analyze", "--source", str(small_bundle), "--source", str(other),
+                             "--bundle", "--format", "csv")
+    assert status == 0
+    rows = out.strip().splitlines()[1:]
     assert len(rows) == 8
     projects = {row.split(",")[0] for row in rows}
     assert projects == {"bundle", "other"}
