@@ -129,7 +129,7 @@ def classify_commit(
         )
 
     deltas = changes.deltas[granularity]
-    counts = [d.added_count for d in deltas]
+    counts = [d.added_count for d in deltas] if count else ()
     added_count = sum(counts) if count and None not in counts else None
     acceptable = any(d.adds for d in deltas)
 

@@ -171,10 +171,10 @@ LINE_MEMO_FRAGMENTS = 1 << 19
 
 class _Text(NamedTuple):
     """A file version's fragments. In ``pre`` mode ``lines`` are always
-    kept, since pairs are trimmed by line, and both they and the per-line
-    token tuples in ``tokens`` are the line memo's objects; in ``post``
-    mode ``tokens`` is the whole file's. What a granularity not analyzed
-    would fill is empty or 0."""
+    kept, since pairs are trimmed by line; when tokens are analyzed, both
+    they and the per-line token tuples in ``tokens`` are the line memo's
+    objects. In ``post`` mode ``tokens`` is the whole file's. What a
+    granularity not analyzed would fill is empty or 0."""
 
     lines: tuple[str, ...]
     tokens: tuple
@@ -202,7 +202,7 @@ def post_filter_delta(delta: FileDelta) -> None:
 
 class _LineMemo:
     """Normalized line -> (line, tokens, fallback count), shared across the
-    files and commits of one ``pre``-mode run.
+    files and commits of one ``pre``-mode run that analyzes tokens.
 
     ``entries`` is bounded by the fragments it holds, 1 + len(tokens) an
     entry, so that a few long lines cannot hold more than many short ones.
@@ -214,10 +214,9 @@ class _LineMemo:
     CPython 3.12, so they would outlive the run.
     """
 
-    __slots__ = ("want_tokens", "entries", "table", "held")
+    __slots__ = ("entries", "table", "held")
 
-    def __init__(self, want_tokens: bool) -> None:
-        self.want_tokens = want_tokens
+    def __init__(self) -> None:
         self.entries: dict[str, tuple[str, tuple[str, ...], int]] = {}
         self.table: dict[str, str] = {}
         # Fragments held: 1 + len(tokens) per entry.
@@ -225,16 +224,12 @@ class _LineMemo:
 
     def add(self, line: str) -> tuple[str, tuple[str, ...], int]:
         """The entry for a line the memo does not hold, kept if it fits: the
-        line itself, so that texts share the memo's string, and, when tokens
-        are analyzed, its tokens and their fallback count. Each token is
-        ``table``'s string for it, so equal tokens of different lines are
-        one string too."""
-        if self.want_tokens:
-            lexed, fallback = lex_line(line)
-            # A list first, for the reason given in ``_fragment``.
-            tokens = tuple(list(map(self.table.setdefault, lexed, lexed)))
-        else:
-            tokens, fallback = (), 0
+        line itself, so that texts share the memo's string, its tokens and
+        their fallback count. Each token is ``table``'s string for it, so
+        equal tokens of different lines are one string too."""
+        lexed, fallback = lex_line(line)
+        # A list first, for the reason given in ``_fragment``.
+        tokens = tuple(list(map(self.table.setdefault, lexed, lexed)))
         entry = line, tokens, fallback
         weight, bound = 1 + len(tokens), LINE_MEMO_FRAGMENTS
         if self.held + weight > bound:
@@ -251,21 +246,23 @@ class _LineMemo:
         return entry
 
 
-def _fragment(granularities: tuple[Granularity, ...], normalize: str, memo: _LineMemo,
+def _fragment(granularities: tuple[Granularity, ...], normalize: str, memo: _LineMemo | None,
               text: str) -> _Text:
-    want_tokens = Granularity.TOKEN in granularities
     if normalize == POST:
         stats = LexStats()
-        tokens = tuple(lex(text, include_comments=True, stats=stats)) if want_tokens else ()
+        tokens = (tuple(lex(text, include_comments=True, stats=stats))
+                  if Granularity.TOKEN in granularities else ())
         lines = tuple(split_raw_lines(text)) if Granularity.LINE in granularities else ()
         return _Text(lines, tokens, len(tokens), stats.fallback_tokens)
+    if memo is None:
+        # Lines alone: nothing to lex.
+        return _Text(tuple(fragment_lines(text)), (), 0, 0)
     # Lists, not tuples built from iterators: CPython resizes such a tuple to
     # its length, and its free lists then keep the tuple once it dies.
     cached = memo.entries.get
     entries = [cached(line) or memo.add(line) for line in fragment_lines(text)]
     lines, per_line, fallbacks = list(zip(*entries)) or ((), (), ())
-    return _Text(lines, per_line if want_tokens else (), sum(map(len, per_line)),
-                 sum(fallbacks))
+    return _Text(lines, per_line, sum(map(len, per_line)), sum(fallbacks))
 
 
 class _PipelineState:
@@ -280,17 +277,18 @@ class _PipelineState:
     is fragmented again.
     In ``pre`` mode, tokens never cross a normalized line: lexing a file
     gives the same tokens, and the same fallback count, as lexing each of
-    its ``fragment_lines`` in turn (``fragmenter.lex_line``). So a text
-    keeps, per line, the line and the token tuple of its ``memo`` entry,
-    since most lines survive from one version to the next: a run holds one
-    string per distinct line and one per distinct token, not one per file
-    version, and no whole-file token tuple. Runs without tokens use the
-    same memo and lex nothing. ``pair`` trims a file pair once by line and
-    flattens only the tokens of the lines that differ
-    (``differ.pair_middles``), so token work and memory follow the edit,
-    not the file. ``post`` mode keeps comment tokens, which can span lines,
-    so it lexes and diffs whole files. The memo holds no reference back to
-    the state.
+    its ``fragment_lines`` in turn (``fragmenter.lex_line``). So when tokens
+    are analyzed, a text keeps, per line, the line and the token tuple of
+    its ``memo`` entry, since most lines survive from one version to the
+    next: a run holds one string per distinct line and one per distinct
+    token, not one per file version, and no whole-file token tuple. ``pair``
+    trims a file pair once by line and flattens only the tokens of the
+    lines that differ (``differ.pair_middles``), so token work and memory
+    follow the edit, not the file. Every other run has no ``memo``: a
+    ``pre``-mode run of lines alone splits each side and lexes nothing,
+    and ``post`` mode keeps comment tokens, which can span lines, so it
+    lexes and diffs whole files. The memo holds no reference back to the
+    state.
     """
 
     __slots__ = ("granularities", "normalize", "rules", "fallback_tokens", "skipped_oversize",
@@ -305,7 +303,8 @@ class _PipelineState:
         # File pairs for which ``verdict_delta`` gave no delta and the full
         # differ ran.
         self.diff_fallbacks = 0
-        self.memo = _LineMemo(Granularity.TOKEN in granularities)
+        self.memo = (_LineMemo() if normalize == PRE and Granularity.TOKEN in granularities
+                     else None)
         self.fragment = partial(_fragment, granularities, normalize, self.memo)
         self.texts: OrderedDict[str, tuple[str, _Text]] = OrderedDict()
 

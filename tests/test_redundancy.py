@@ -164,6 +164,18 @@ def test_novel_fragments_span_files_deduped_in_order_and_capped():
     }
 
 
+def test_untraced_classification_counts_no_delta(monkeypatch):
+    # Without ``count`` no delta's ``added_count`` is read, not even a full
+    # diff's, whose count is known.
+    def counted(delta):
+        raise AssertionError("an untraced classification counts no delta")
+
+    monkeypatch.setattr(FileDelta, "added_count", property(counted))
+    cls = classify_commit(ScopedPools.create(LINE), make_changes(0, {"A.java": ["x;"]}), LINE,
+                          count=False)
+    assert cls.acceptable and cls.added_count is None
+
+
 def test_local_pool_created_on_first_addition_only():
     pools = ScopedPools.create(LINE)
     removal_only = make_changes(0, {}, {"A.java": ["x;"]})

@@ -35,6 +35,7 @@ from tempred.history import (
 )
 from tempred.redundancy import NOVEL_FRAGMENT_CAP, Scope, ScopedPools, index_commit
 from tempred.report import (
+    ALL_GRANULARITIES,
     POST,
     AnalysisConfig,
     analyze_commits,
@@ -282,11 +283,10 @@ def test_untraced_run_peak_grows_with_the_pools_on_fresh_history():
         f"{short / 2**20:.2f} -> {long / 2**20:.2f} MiB, {short_pools} -> {long_pools} fragments")
 
 
-@pytest.mark.parametrize("granularities", [(Granularity.LINE, Granularity.TOKEN),
-                                           (Granularity.LINE,)])
-def test_equal_lines_are_one_string_in_texts_deltas_and_pools(granularities):
+def test_equal_lines_are_one_string_in_texts_deltas_and_pools():
     # Every version is its own text, so splitting it gives new line strings;
-    # only the line memo can make equal lines one object.
+    # only the line memo of a run that analyzes tokens can make equal lines
+    # one object.
     rows = [f"int row{i} = {i};" for i in range(4)]
     a0, a1 = "\n".join(rows[:2]) + "\n", "\n".join(rows[:3]) + "\n"
     b0 = "\n".join(rows[1:]) + "\n"
@@ -295,7 +295,8 @@ def test_equal_lines_are_one_string_in_texts_deltas_and_pools(granularities):
         CommitRecord("c1", 1, 200, [FileChange("src/A.java", a0, a1),
                                     FileChange("src/B.java", None, b0)]),
     ]
-    config = AnalysisConfig(source="shared", bundle=True, granularities=granularities)
+    config = AnalysisConfig(source="shared", bundle=True)
+    granularities = config.granularities
     state = report_module._make_state(config)
     pools = {g: ScopedPools.create(g) for g in granularities}
     changes = []
@@ -352,6 +353,54 @@ def test_equal_tokens_and_lines_are_one_string_after_an_untraced_run(monkeypatch
         everywhere = [*held, *in_texts, *scoped.global_pool.first_seen, *local_keys]
         assert len({id(f) for f in everywhere}) == len(set(everywhere)), granularity
     assert all(key is line for key, (line, _, _) in state.memo.entries.items())
+
+
+def test_only_pre_mode_token_runs_keep_a_line_memo(small_bundle, monkeypatch):
+    states = []
+
+    def recording_make_state(config):
+        states.append(make_state(config))
+        return states[-1]
+
+    def no_lexer(*args, **kwargs):
+        raise AssertionError("a run of lines alone lexes nothing")
+
+    make_state = report_module._make_state
+    monkeypatch.setattr(report_module, "_make_state", recording_make_state)
+    config = AnalysisConfig(source=str(small_bundle), bundle=True)
+    for granularities in (ALL_GRANULARITIES, ("line",), ("token",)):
+        run_analysis(config.replace(normalize=POST, granularities=granularities))
+    run_analysis(config)
+    assert [state.memo for state in states[:3]] == [None] * 3
+    assert isinstance(states[3].memo, report_module._LineMemo)
+
+    monkeypatch.setattr(report_module, "lex_line", no_lexer)
+    monkeypatch.setattr(report_module, "lex", no_lexer)
+    run_analysis(config.replace(granularities=("line",)))
+    line_only = states[4]
+    texts = [text for _, text in line_only.texts.values()]
+    assert line_only.memo is None and texts
+    assert all(text.lines and text.tokens == () and text.token_count == 0 for text in texts)
+
+
+@pytest.mark.parametrize("trace_commits", [False, True])
+def test_line_measure_does_not_depend_on_analyzing_tokens(trace_commits):
+    # Lines shared across files, so that global and local verdicts differ.
+    commits = _Generator(HistorySpec(seed=5, commit_count=200, file_count=6,
+                                     reuse_probability=0.6, locality_bias=0.2,
+                                     token_recombination=0.3)).build()
+    config = AnalysisConfig(source="reuse", bundle=True, trace_commits=trace_commits)
+    both = analyze_commits(commits, config)
+    line_only = analyze_commits(commits, config.replace(granularities=("line",)))
+    line_rows = [m for m in both.summary.metrics if m.granularity is Granularity.LINE]
+    assert line_only.summary.metrics == line_rows
+    assert line_rows[0].redundant_commits > line_rows[1].redundant_commits > 0
+    assert line_only.summary.acceptable_commits == {
+        Granularity.LINE: both.summary.acceptable_commits[Granularity.LINE]}
+    assert line_only.commit_count == both.commit_count == 200
+    if trace_commits:
+        assert line_only.classifications == {
+            Granularity.LINE: both.classifications[Granularity.LINE]}
 
 
 def test_csv_has_one_row_per_project_granularity_scope(small_bundle):
