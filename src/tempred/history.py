@@ -25,7 +25,7 @@ import subprocess
 import sys
 import tempfile
 from collections import OrderedDict, deque
-from contextlib import closing
+from contextlib import closing, suppress
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -169,19 +169,24 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _resolve_content(value: object, bundle_dir: Path, where: str) -> str | None:
-    if value is None:
-        return None
-    _require(isinstance(value, str), f"{where}: before/after must be a string or null")
-    assert isinstance(value, str)
-    if not value.startswith(BLOB_REF_PREFIX):
+def _check_content(value: object, where: str) -> None:
+    """Check one before/after entry: null, an inline string, or a reference
+    to a file directly under ``blobs/``."""
+    _require(value is None or isinstance(value, str),
+             f"{where}: before/after must be a string or null")
+    if isinstance(value, str) and value.startswith(BLOB_REF_PREFIX):
+        name = value[len(BLOB_REF_PREFIX):]
+        _require(
+            bool(name) and "/" not in name and name not in (".", ".."),
+            f"{where}: invalid blob reference {value!r}",
+        )
+
+
+def _resolve_content(value: str | None, bundle_dir: Path, where: str) -> str | None:
+    """The text of a checked before/after entry; a missing blob file aborts."""
+    if value is None or not value.startswith(BLOB_REF_PREFIX):
         return value
-    name = value[len(BLOB_REF_PREFIX):]
-    _require(
-        bool(name) and "/" not in name and name not in (".", ".."),
-        f"{where}: invalid blob reference {value!r}",
-    )
-    blob_path = bundle_dir / BLOBS_DIR / name
+    blob_path = bundle_dir / BLOBS_DIR / value[len(BLOB_REF_PREFIX):]
     if not blob_path.is_file():
         raise BundleFormatError(f"{where}: missing blob {value!r}")
     # Byte-level IO: text read via read_text() would normalize \r\n and break
@@ -203,10 +208,12 @@ def load_history_bundle(
 ) -> Iterator[CommitRecord]:
     """Stream the commits of a bundle directory in manifest order.
 
-    The whole manifest is validated up front: a schema violation aborts, and
-    out-of-order timestamps are allowed but warned about. A commit outside
-    the inclusive ``since``/``until`` window is skipped unread, as in
-    ``open_repository``; the rest are read lazily, where a missing blob aborts.
+    The whole manifest is validated up front, every commit's ``before``/
+    ``after`` types and blob-reference syntax included: a schema violation
+    aborts before any commit is yielded, and out-of-order timestamps are
+    allowed but warned about. A commit outside the inclusive ``since``/
+    ``until`` window is skipped unread, as in ``open_repository``; the rest
+    are read lazily, where a missing blob file aborts.
     As in ``open_repository``, a before-side that names the same blob as its
     path's last after-side takes that side's text instead of reading the blob
     file again.
@@ -237,6 +244,8 @@ def load_history_bundle(
             _require(isinstance(fentry.get("path"), str), f"{fwhere}: path must be a string")
             _require("before" in fentry and "after" in fentry,
                      f"{fwhere}: before and after are required (null for absent)")
+            _check_content(fentry["before"], fwhere)
+            _check_content(fentry["after"], fwhere)
         if last_ts is not None and entry["timestamp"] < last_ts:
             warn(f"{where}: timestamp {entry['timestamp']} is earlier than its predecessor")
         last_ts = entry["timestamp"]
@@ -389,7 +398,10 @@ class _GitChild:
         """Kill the process if it still runs, and reap it."""
         for pipe in (self.proc.stdin, self.proc.stdout):
             if pipe is not None:
-                pipe.close()
+                # A request left unwritten when git exited cannot be flushed;
+                # the pipe is closed all the same.
+                with suppress(BrokenPipeError):
+                    pipe.close()
         if self.proc.poll() is None:
             self.proc.kill()
         self.proc.wait()

@@ -101,10 +101,18 @@ class AnalysisConfig:
                 continue  # an open time bound
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name in ("bundle", "trace_commits"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be True or False, got {value!r}")
         for name, globs in (("include_globs", include_globs), ("exclude_globs", exclude_globs)):
             if isinstance(globs, str):
                 raise ConfigurationError(f"{name} must be a sequence of globs, got {globs!r}")
-            setattr(self, name, tuple(globs))
+            globs = tuple(globs)
+            for glob in globs:
+                if not isinstance(glob, str):
+                    raise ConfigurationError(f"{name} must hold strings, got {glob!r}")
+            setattr(self, name, globs)
         if not self.granularities:
             raise ConfigurationError("at least one granularity must be selected")
         if not self.scopes:

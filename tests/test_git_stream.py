@@ -1,9 +1,11 @@
 """The one-stream git reader against the per-commit ``git diff-tree`` reader it
-replaced, plus its request window, blob reuse, failure, shallow-clone and
-early-close behaviour."""
+replaced, which reads each blob with its own ``git cat-file blob`` and shares
+no reading code with ``tempred.history``; plus the reader's request window,
+blob reuse, failure, shallow-clone and early-close behaviour."""
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import signal
@@ -45,14 +47,6 @@ def _git(repo: Path, *args: str) -> bytes:
     return proc.stdout
 
 
-def _read(reader: _BlobReader, sha: str) -> bytes:
-    reader.request([sha])
-    data = reader.reply(sha)
-    if data is None:
-        raise reader.missing(sha)
-    return data
-
-
 def _parse_diff_tree(raw: bytes) -> list[tuple[str, str, str, str, str, str]]:
     """Parse ``git diff-tree -z`` output into
     (old_mode, new_mode, old_sha, new_sha, status, path) tuples."""
@@ -74,7 +68,8 @@ def diff_tree_reference(repo: Path, branch: str = "HEAD", since: int | None = No
                         until: int | None = None, on_warning=None) -> list[CommitRecord]:
     """List the first-parent chain, then diff each kept commit against its
     first parent (or, for the root, against the empty tree) in its own
-    ``git diff-tree`` process."""
+    ``git diff-tree`` process, and read each side in its own ``git cat-file
+    blob``."""
     warn = on_warning or (lambda _msg: None)
     raw = _git(repo, "log", "--first-parent", "--reverse", "--format=%H %ct %P", branch)
     selected = []
@@ -89,38 +84,37 @@ def diff_tree_reference(repo: Path, branch: str = "HEAD", since: int | None = No
         selected.append((sha, int(ts), parents[0] if parents else None))
 
     records = []
-    with closing(_BlobReader(repo)) as reader:
-        for order_index, (sha, ts, parent) in enumerate(selected):
-            base = [parent] if parent is not None else ["--root"]
-            args = ["diff-tree", "-r", "-z", "--no-renames", "--no-commit-id", *base, sha]
-            changes: list[FileChange] = []
-            for old_mode, new_mode, old_sha, new_sha, _status, fpath in _parse_diff_tree(
-                _git(repo, *args)
-            ):
-                if "160000" in (old_mode, new_mode):
-                    continue  # submodule pointer, out of scope
-                before_sha = None if _NULL_SHA.match(old_sha) else old_sha
-                after_sha = None if _NULL_SHA.match(new_sha) else new_sha
-                if before_sha == after_sha:
-                    continue  # mode-only change
-                binary = False
-                before = after = None
-                if before_sha is not None:
-                    data = _read(reader, before_sha)
-                    binary = b"\0" in data
-                    before = data.decode("utf-8", "replace")
-                if after_sha is not None and not binary:
-                    data = _read(reader, after_sha)
-                    binary = b"\0" in data
-                    after = data.decode("utf-8", "replace")
-                if binary:
-                    warn(f"skipping binary file {fpath} in commit {sha}")
-                    continue
-                if before == after:
-                    continue  # no-op after decoding
-                changes.append(FileChange(path=fpath, before=before, after=after))
-            records.append(CommitRecord(commit_id=sha, order_index=order_index, timestamp=ts,
-                                        file_changes=changes))
+    for order_index, (sha, ts, parent) in enumerate(selected):
+        base = [parent] if parent is not None else ["--root"]
+        args = ["diff-tree", "-r", "-z", "--no-renames", "--no-commit-id", *base, sha]
+        changes: list[FileChange] = []
+        for old_mode, new_mode, old_sha, new_sha, _status, fpath in _parse_diff_tree(
+            _git(repo, *args)
+        ):
+            if "160000" in (old_mode, new_mode):
+                continue  # submodule pointer, out of scope
+            before_sha = None if _NULL_SHA.match(old_sha) else old_sha
+            after_sha = None if _NULL_SHA.match(new_sha) else new_sha
+            if before_sha == after_sha:
+                continue  # mode-only change
+            binary = False
+            before = after = None
+            if before_sha is not None:
+                data = _git(repo, "cat-file", "blob", before_sha)
+                binary = b"\0" in data
+                before = data.decode("utf-8", "replace")
+            if after_sha is not None and not binary:
+                data = _git(repo, "cat-file", "blob", after_sha)
+                binary = b"\0" in data
+                after = data.decode("utf-8", "replace")
+            if binary:
+                warn(f"skipping binary file {fpath} in commit {sha}")
+                continue
+            if before == after:
+                continue  # no-op after decoding
+            changes.append(FileChange(path=fpath, before=before, after=after))
+        records.append(CommitRecord(commit_id=sha, order_index=order_index, timestamp=ts,
+                                    file_changes=changes))
     return records
 
 
@@ -440,6 +434,30 @@ def test_reply_naming_another_sha_raises_git_error(git_repo):
         reader.request([a])
         with pytest.raises(GitError, match=f"cannot read blob {b}"):
             reader.reply(b)
+
+
+def test_request_to_an_exited_cat_file_raises_git_error(git_repo):
+    git_repo.commit({"A.java": "int a = 1;\n"})
+    a = git_repo._run("rev-parse", "HEAD:A.java").strip()
+    with closing(_BlobReader(git_repo.path)) as reader:
+        reader.request([a])
+        assert reader.reply(a) == b"int a = 1;\n"
+        reader.proc.kill()
+        reader.proc.wait()
+        # The request left unflushed must not make closing the reader raise.
+        with pytest.raises(GitError, match=f"exited before blob {a} was read"):
+            reader.request([a])
+
+
+def test_reply_that_ends_early_raises_git_error(git_repo):
+    git_repo.commit({"A.java": "int a = 1;\n"})
+    a = git_repo._run("rev-parse", "HEAD:A.java").strip()
+    with closing(_BlobReader(git_repo.path)) as reader:
+        # cat-file's reply cut after three bytes of the content.
+        reader.proc.stdout.close()
+        reader.proc.stdout = io.BytesIO(f"{a} blob 11\nint".encode("ascii"))
+        with pytest.raises(GitError, match=f"blob {a} ends early"):
+            reader.reply(a)
 
 
 def test_missing_tree_raises_git_error(git_repo):

@@ -300,6 +300,27 @@ def test_malformed_manifests_abort(tmp_path, manifest):
         load_history_bundle(bundle)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (5, "before/after must be a string or null"),
+    ("@blobs/../manifest.json", "invalid blob reference"),
+])
+@pytest.mark.parametrize("window", [(None, None), (3, None), (None, 1)])
+def test_bad_side_in_a_later_commit_aborts_before_any_commit(bundle_writer, bad, message,
+                                                              window):
+    # Commit 1's entry is checked when the bundle is opened, also when the
+    # time window leaves commit 1 out.
+    bundle = bundle_writer([
+        {"id": "c0", "timestamp": 1,
+         "files": [{"path": "A.java", "before": None, "after": "a;\n"}]},
+        {"id": "c1", "timestamp": 2,
+         "files": [{"path": "A.java", "before": "a;\n", "after": bad}]},
+        {"id": "c2", "timestamp": 3, "files": []},
+    ])
+    since, until = window
+    with pytest.raises(BundleFormatError, match=rf"commits\[1\]\.files\[0\]: {message}"):
+        load_history_bundle(bundle, since=since, until=until)
+
+
 def test_missing_manifest_aborts(tmp_path):
     with pytest.raises(BundleFormatError):
         load_history_bundle(tmp_path)

@@ -117,6 +117,19 @@ def test_config_rejects_a_string_of_globs(field):
         AnalysisConfig(source="x", **{field: "**/*.java"})
 
 
+@pytest.mark.parametrize("field", ["include_globs", "exclude_globs"])
+def test_config_rejects_a_glob_that_is_not_a_string(field):
+    with pytest.raises(ConfigurationError, match=f"{field} must hold strings, got 1"):
+        AnalysisConfig(source="x", **{field: ["**/*.java", 1]})
+
+
+@pytest.mark.parametrize("value", ["no", 1, None])
+@pytest.mark.parametrize("field", ["bundle", "trace_commits"])
+def test_config_rejects_flags_that_are_not_bools(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field} must be True or False"):
+        AnalysisConfig(source="x", **{field: value})
+
+
 def test_config_takes_integer_or_absent_time_bounds():
     config = AnalysisConfig(source="x", since=None, until=5, diff_size_cap=7)
     assert (config.since, config.until, config.diff_size_cap) == (None, 5, 7)

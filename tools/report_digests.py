@@ -7,11 +7,14 @@ Builds three histories with the benchmark's builders (``bench/workloads.py``,
 imported read-only) in a temporary directory: ``git-3k`` seed 1,
 ``rewrites`` seed 3 and ``bundle-3k`` seed 7. Then runs 62
 ``tempred analyze --format json`` configurations and two
-``tempred oracle --bundle`` runs on ``rewrites``, each in a fresh
-``python -m tempred.cli`` whose ``PYTHONPATH`` is this checkout's ``src``,
-and prints one line per run: its label, the sha256 of its stdout, the
-sha256 of its stderr and its exit status. Sources are named relative to the
-temporary directory, so the reports do not depend on where it is.
+``tempred oracle --bundle`` runs on ``rewrites`` and one ``tempred
+export-bundle`` of ``git-3k``, each in a fresh ``python -m tempred.cli``
+whose ``PYTHONPATH`` is this checkout's ``src``, and prints one line per
+run: its label, the sha256 of its stdout, the sha256 of its stderr and its
+exit status. The export's line adds a fifth field, the sha256 of the tree it
+wrote: every file's relative path and the sha256 of its content, in path
+order. Sources are named relative to the temporary directory, so the
+reports do not depend on where it is.
 
 To check a change, run the script in a checkout of the parent commit and in
 the change, and ``diff`` the two outputs.
@@ -38,6 +41,7 @@ WINDOW = ["--since", "1577900000", "--until", "1581000000"]
 MODES = [(f"{normalize}{'+trace' if trace else ''}",
           ["--normalize", normalize, *(["--trace-commits"] if trace else [])])
          for normalize in ("pre", "post") for trace in (False, True)]
+EXPORT_OUT = "git-3k-export"
 
 
 def build(work: Path) -> None:
@@ -48,6 +52,15 @@ def build(work: Path) -> None:
     build_git(work / "git-3k", build_bundle(work / "git-3k-bundle", 1))
     build_rewrites(work / "rewrites", 3)
     build_bundle(work / "bundle-3k", 7)
+
+
+def tree_digest(root: Path) -> str:
+    """The sha256 of every file under ``root``: its relative path and the
+    sha256 of its content, one line each, in path order."""
+    lines = [f"{path.relative_to(root).as_posix()}\t"
+             f"{hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+             for path in sorted(root.rglob("*")) if path.is_file()]
+    return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
 
 
 def runs() -> list[tuple[str, list[str]]]:
@@ -75,6 +88,7 @@ def runs() -> list[tuple[str, list[str]]]:
         ("rewrites oracle", ["oracle", "--bundle", "rewrites"]),
         ("rewrites oracle line local",
          ["oracle", "--bundle", "rewrites", "--granularity", "line", "--scope", "local"]),
+        ("git-3k export-bundle", ["export-bundle", "--source", "git-3k", "--out", EXPORT_OUT]),
     ]
 
 
@@ -88,8 +102,11 @@ def main() -> int:
         for label, args in runs():
             proc = subprocess.run([sys.executable, "-m", "tempred.cli", *args], cwd=work,
                                   env=env, capture_output=True)
-            print(f"{label}\t{hashlib.sha256(proc.stdout).hexdigest()}\t"
-                  f"{hashlib.sha256(proc.stderr).hexdigest()}\t{proc.returncode}", flush=True)
+            fields = [label, hashlib.sha256(proc.stdout).hexdigest(),
+                      hashlib.sha256(proc.stderr).hexdigest(), str(proc.returncode)]
+            if args[0] == "export-bundle":
+                fields.append(tree_digest(work / EXPORT_OUT))
+            print("\t".join(fields), flush=True)
     return 0
 
 
