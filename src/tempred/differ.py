@@ -71,8 +71,8 @@ subset of the global pool, because indexing adds every fragment to both.
 Against either pool the extra occurrences are present, so they change
 neither "every added fragment is in the pool" nor the novel fragments, which
 skip present fragments; the order of the novel fragments is kept too.
-Indexing them adds nothing, because ``FragmentPool.add`` keeps the first
-entry, so the pools, their ``first_seen`` values and their insertion order
+Indexing them adds nothing, because ``index_commit`` keeps the first
+entry, so the pools, the order indexes they hold and their insertion order
 come out the same. A local pool is created when a delta adds something. If
 the canonical ``added`` is non-empty and the verdict ``added`` is empty,
 every fragment of A' is in B', hence in L, so L already exists and neither

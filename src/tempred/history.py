@@ -20,6 +20,7 @@ added/deleted file. The order of the ``commits`` array is the traversal order.
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -182,16 +183,18 @@ def _check_content(value: object, where: str) -> None:
         )
 
 
-def _resolve_content(value: str | None, bundle_dir: Path, where: str) -> str | None:
+def _resolve_content(value: str | None, blobs_dir: str, where: str) -> str | None:
     """The text of a checked before/after entry; a missing blob file aborts."""
     if value is None or not value.startswith(BLOB_REF_PREFIX):
         return value
-    blob_path = bundle_dir / BLOBS_DIR / value[len(BLOB_REF_PREFIX):]
-    if not blob_path.is_file():
-        raise BundleFormatError(f"{where}: missing blob {value!r}")
-    # Byte-level IO: text read via read_text() would normalize \r\n and break
+    # Byte-level IO: reading in text mode would normalize \r\n and break
     # byte-identical round-trips.
-    return blob_path.read_bytes().decode("utf-8", "replace")
+    try:
+        with open(os.path.join(blobs_dir, value[len(BLOB_REF_PREFIX):]), "rb") as blob:
+            data = blob.read()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise BundleFormatError(f"{where}: missing blob {value!r}") from exc
+    return data.decode("utf-8", "replace")
 
 
 def _keep(last: OrderedDict, path: str, version: object, bound: int) -> None:
@@ -252,6 +255,7 @@ def load_history_bundle(
 
     kept = [(idx, entry) for idx, entry in enumerate(commits)
             if _in_window(entry["timestamp"], since, until)]
+    blobs_dir = os.path.join(bundle_dir, BLOBS_DIR)
 
     def _iter() -> Iterator[CommitRecord]:
         # path -> (blob reference, text) of the last after-side read there.
@@ -266,8 +270,8 @@ def load_history_bundle(
                 if held is not None and fentry["before"] == held[0]:
                     before = held[1]
                 else:
-                    before = _resolve_content(fentry["before"], bundle_dir, fwhere)
-                after = _resolve_content(after_ref, bundle_dir, fwhere)
+                    before = _resolve_content(fentry["before"], blobs_dir, fwhere)
+                after = _resolve_content(after_ref, blobs_dir, fwhere)
                 if after is not None and after_ref.startswith(BLOB_REF_PREFIX):
                     _keep(last, path, (after_ref, after), _REUSE_BLOB_PATHS)
                 if before is None and after is None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import islice
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import PipelineOrderError
@@ -34,49 +33,38 @@ class Scope(str, Enum):
 ALL_SCOPES: tuple[Scope, ...] = (Scope.GLOBAL, Scope.LOCAL)
 
 
-class FragmentPool:
-    """Distinct fragments seen so far, each with the commit that first added it."""
+class FragmentPool(dict[str, int]):
+    """Distinct fragments seen so far, each mapped to the order index of the
+    commit that first added it."""
 
-    __slots__ = ("first_seen",)
-
-    def __init__(self, first_seen: dict[str, int] | None = None) -> None:
-        self.first_seen = {} if first_seen is None else first_seen
-
-    def __contains__(self, fragment: str) -> bool:
-        return fragment in self.first_seen
-
-    def add(self, fragment: str, order_index: int) -> None:
-        """Insert unless present; the first introduction wins."""
-        if fragment not in self.first_seen:
-            self.first_seen[fragment] = order_index
+    __slots__ = ()
 
     @property
     def size(self) -> int:
-        return len(self.first_seen)
+        return len(self)
 
 
 class ScopedPools:
     """One global pool plus one local pool per file path, single granularity."""
 
-    __slots__ = ("granularity", "global_pool", "local_pools", "last_indexed")
+    __slots__ = ("global_pool", "local_pools", "last_indexed")
 
-    def __init__(self, granularity: Granularity, global_pool: FragmentPool,
-                 local_pools: dict[str, FragmentPool] | None = None,
-                 last_indexed: int | None = None) -> None:
-        self.granularity, self.global_pool = granularity, global_pool
-        self.local_pools = {} if local_pools is None else local_pools
-        self.last_indexed = last_indexed
+    def __init__(self) -> None:
+        self.global_pool = FragmentPool()
+        self.local_pools: dict[str, FragmentPool] = {}
+        self.last_indexed: int | None = None
 
     @classmethod
     def create(cls, granularity: Granularity) -> "ScopedPools":
-        return cls(granularity=granularity, global_pool=FragmentPool())
+        """Empty pools for one granularity, which they do not record."""
+        return cls()
 
 
 class ChangeSet(NamedTuple):
     """One commit's per-file deltas, listed per granularity in file order."""
 
     commit: CommitRecord
-    deltas: Mapping[Granularity, list[FileDelta]] = MappingProxyType({})
+    deltas: Mapping[Granularity, list[FileDelta]]
 
 
 class CommitClassification(NamedTuple):
@@ -101,8 +89,7 @@ class CommitClassification(NamedTuple):
 
 def _known(pools: ScopedPools, scope: Scope, path: str) -> Mapping[str, int]:
     """The fragments the scope's pool holds for a file at ``path``."""
-    pool = pools.global_pool if scope is Scope.GLOBAL else pools.local_pools.get(path)
-    return pool.first_seen if pool is not None else {}
+    return pools.global_pool if scope is Scope.GLOBAL else pools.local_pools.get(path, {})
 
 
 def classify_commit(
@@ -179,8 +166,8 @@ def index_commit(pools: ScopedPools, changes: ChangeSet, granularity: Granularit
         if local is None:
             local = pools.local_pools[delta.path] = FragmentPool()
         for fragment in delta.added:
-            pools.global_pool.add(fragment, order_index)
-            local.add(fragment, order_index)
+            pools.global_pool.setdefault(fragment, order_index)
+            local.setdefault(fragment, order_index)
     pools.last_indexed = order_index
     return pools
 
@@ -220,9 +207,9 @@ class VerdictCounts:
 
     __slots__ = ("acceptable", "redundant")
 
-    def __init__(self, acceptable: int = 0, redundant: dict[Scope, int] | None = None) -> None:
-        self.acceptable = acceptable
-        self.redundant = {} if redundant is None else redundant
+    def __init__(self) -> None:
+        self.acceptable = 0
+        self.redundant: dict[Scope, int] = {}
 
     def add(self, classification: CommitClassification) -> None:
         self.acceptable += classification.acceptable
@@ -252,11 +239,11 @@ def summarize_counts(
             redundant = count.redundant.get(scope, 0)
             ratio = redundant / count.acceptable if count.acceptable else None
             if scope is Scope.GLOBAL:
-                pool_size: int | None = pool.global_pool.size
+                pool_size: int | None = len(pool.global_pool)
                 median = None
             else:
                 pool_size = None
-                median = _median([p.size for p in pool.local_pools.values()])
+                median = _median(list(map(len, pool.local_pools.values())))
             metrics.append(
                 ScopeMetrics(
                     granularity=granularity,

@@ -105,6 +105,12 @@ class AnalysisConfig:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise ConfigurationError(f"{name} must be True or False, got {value!r}")
+        for name in ("source", "branch", "project"):
+            value = getattr(self, name)
+            if value is None and name == "project":
+                continue  # named after the source
+            if not isinstance(value, str):
+                raise ConfigurationError(f"{name} must be a string, got {value!r}")
         for name, globs in (("include_globs", include_globs), ("exclude_globs", exclude_globs)):
             if isinstance(globs, str):
                 raise ConfigurationError(f"{name} must be a sequence of globs, got {globs!r}")
@@ -144,11 +150,11 @@ class AnalysisConfig:
 
     @property
     def project_name(self) -> str:
-        return self.project or Path(self.source).name or str(self.source)
+        return self.project or Path(self.source).name or self.source
 
     def echo(self) -> dict:
         return {
-            "source": str(self.source),
+            "source": self.source,
             "bundle": self.bundle,
             "branch": self.branch,
             "since": self.since,
@@ -393,8 +399,8 @@ def _commit_changes(commit: CommitRecord, config: AnalysisConfig,
             before, after = pair[slot]
             delta = None
             if fast:
-                local = pools[granularity].local_pools.get(fc.path)
-                delta = verdict_delta(before, after, local.first_seen if local else (),
+                delta = verdict_delta(before, after,
+                                      pools[granularity].local_pools.get(fc.path) or (),
                                       count=config.trace_commits, path=fc.path,
                                       granularity=granularity)
                 state.diff_fallbacks += delta is None

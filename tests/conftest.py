@@ -32,7 +32,7 @@ def record_criterion(number: str, title: str, status: str) -> None:
 def check_pool_invariants(pools: ScopedPools) -> None:
     """Every local pool of a ``ScopedPools`` must be a subset of its global pool."""
     for path, pool in pools.local_pools.items():
-        for fragment in pool.first_seen:
+        for fragment in pool:
             if fragment not in pools.global_pool:
                 raise AssertionError(
                     f"local pool for {path} holds {fragment!r} missing from global pool"

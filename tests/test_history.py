@@ -224,17 +224,38 @@ def test_missing_blob_aborts(tmp_path):
         list(load_history_bundle(bundle))
 
 
+@pytest.mark.parametrize("layout", ["blob is a directory", "blobs is a file"])
+def test_blob_that_is_no_file_is_missing(tmp_path, layout):
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    if layout == "blob is a directory":
+        (bundle / "blobs" / "deadbeef").mkdir(parents=True)
+    else:
+        (bundle / "blobs").write_text("", encoding="utf-8")
+    manifest = {
+        "commits": [
+            {"id": "c0", "timestamp": 1,
+             "files": [{"path": "A.java", "before": None, "after": "@blobs/deadbeef"}]}
+        ]
+    }
+    (bundle / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(BundleFormatError,
+                       match=r"^commits\[0\]\.files\[0\]: missing blob '@blobs/deadbeef'$"):
+        list(load_history_bundle(bundle))
+
+
 def _counted_blob_reads(monkeypatch) -> list[str]:
     """The names of the blob files read from now on, in order."""
     names: list[str] = []
-    read_bytes = Path.read_bytes
 
-    def spy(self):
-        if self.parent.name == history.BLOBS_DIR:
-            names.append(self.name)
-        return read_bytes(self)
+    def spy(file, *args, **kwargs):
+        if Path(file).parent.name == history.BLOBS_DIR:
+            names.append(Path(file).name)
+        return open(file, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_bytes", spy)
+    # The bundle loader opens blob files with the builtin ``open``; a module
+    # global of that name shadows it there.
+    monkeypatch.setattr(history, "open", spy, raising=False)
     return names
 
 

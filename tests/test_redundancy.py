@@ -111,9 +111,9 @@ def test_first_seen_index_wins():
     again = make_changes(1, {"B.java": ["x;"]})
     classify_commit(pools, again, LINE)
     index_commit(pools, again, LINE)
-    assert pools.global_pool.first_seen["x;"] == 0
-    assert pools.local_pools["A.java"].first_seen["x;"] == 0
-    assert pools.local_pools["B.java"].first_seen["x;"] == 1
+    assert pools.global_pool["x;"] == 0
+    assert pools.local_pools["A.java"]["x;"] == 0
+    assert pools.local_pools["B.java"]["x;"] == 1
 
 
 def test_fragment_added_to_two_files_lands_in_both_local_pools():
@@ -241,8 +241,8 @@ def _pools_with_local_sizes(sizes: list[int]) -> ScopedPools:
     for i, size in enumerate(sizes):
         pool = FragmentPool()
         for k in range(size):
-            pool.add(f"f{i}:{k}", 0)
-            pools.global_pool.add(f"f{i}:{k}", 0)
+            pool[f"f{i}:{k}"] = 0
+            pools.global_pool[f"f{i}:{k}"] = 0
         pools.local_pools[f"F{i}.java"] = pool
     return pools
 

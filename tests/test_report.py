@@ -130,6 +130,14 @@ def test_config_rejects_flags_that_are_not_bools(field, value):
         AnalysisConfig(source="x", **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [("source", 5), ("source", None), ("source", Path("r")),
+                                          ("branch", 5), ("branch", None),
+                                          ("project", 5), ("project", b"p")])
+def test_config_rejects_names_that_are_not_strings(field, value):
+    with pytest.raises(ConfigurationError, match=f"^{field} must be a string, got "):
+        AnalysisConfig(**{"source": "x", field: value})
+
+
 def test_config_takes_integer_or_absent_time_bounds():
     config = AnalysisConfig(source="x", since=None, until=5, diff_size_cap=7)
     assert (config.since, config.until, config.diff_size_cap) == (None, 5, 7)
@@ -327,7 +335,7 @@ def test_equal_lines_are_one_string_in_texts_deltas_and_pools():
     assert added == [*rows[:2], rows[2], *rows[1:]]
     shared = {line: line for text in texts for line in text}
     assert all(shared[f] is f for f in added)
-    keys = list(pools[Granularity.LINE].global_pool.first_seen)
+    keys = list(pools[Granularity.LINE].global_pool)
     assert keys == rows and all(shared[key] is key for key in keys)
 
 
@@ -361,9 +369,9 @@ def test_equal_tokens_and_lines_are_one_string_after_an_untraced_run(monkeypatch
             text.lines if granularity is Granularity.LINE else
             [t for ts in text.tokens for t in ts])]
         # Cross-file reuse: some fragment is in more than one local pool.
-        local_keys = [f for local in scoped.local_pools.values() for f in local.first_seen]
+        local_keys = [f for local in scoped.local_pools.values() for f in local]
         assert len(local_keys) > len(set(local_keys))
-        everywhere = [*held, *in_texts, *scoped.global_pool.first_seen, *local_keys]
+        everywhere = [*held, *in_texts, *scoped.global_pool, *local_keys]
         assert len({id(f) for f in everywhere}) == len(set(everywhere)), granularity
     assert all(key is line for key, (line, _, _) in state.memo.entries.items())
 

@@ -30,8 +30,8 @@ def _pool_state(pools: dict[Granularity, ScopedPools]) -> dict:
     """Every pool entry with its first-seen commit, in insertion order."""
     return {
         g: (
-            list(p.global_pool.first_seen.items()),
-            [(path, list(pool.first_seen.items())) for path, pool in p.local_pools.items()],
+            list(p.global_pool.items()),
+            [(path, list(pool.items())) for path, pool in p.local_pools.items()],
         )
         for g, p in pools.items()
     }

@@ -1,7 +1,8 @@
 """Digests of tempred's reports over a fixed set of runs, to show that a
-change leaves every report byte-identical.
+change leaves every report byte-identical. From the repository root, in
+bash:
 
-    python3 tools/report_digests.py > digests.txt
+    diff <(python3 tools/report_digests.py) tools/report_digests.txt
 
 Builds three histories with the benchmark's builders (``bench/workloads.py``,
 imported read-only) in a temporary directory: ``git-3k`` seed 1,
@@ -16,8 +17,11 @@ wrote: every file's relative path and the sha256 of its content, in path
 order. Sources are named relative to the temporary directory, so the
 reports do not depend on where it is.
 
-To check a change, run the script in a checkout of the parent commit and in
-the change, and ``diff`` the two outputs.
+``tools/report_digests.txt`` holds the expected output, and the command
+above checks a change against it: an empty ``diff`` means every report is
+unchanged. A change that alters output on purpose regenerates the file
+(``python3 tools/report_digests.py > tools/report_digests.txt``) in the
+same commit, and its diff names the runs that changed.
 """
 
 from __future__ import annotations
